@@ -61,8 +61,8 @@ def minimize_advantage(params: GameParams, tol: float = 1e-9) -> MinimizationRes
     advantage is compared exactly at all bracket midpoints and both
     endpoints.  Degenerate games (advantage identically 1) short-circuit.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be > 0")
+    if not math.isfinite(tol) or tol <= 0:
+        raise ParameterError("tol must be finite and > 0")
     adv = advantage_polynomial(params)
     if adv.degenerate:
         return MinimizationResult(

@@ -6,7 +6,9 @@ generator seeded with a splitmix64 mix of the 64-bit run seed and the worker
 index, so a run is bit-for-bit reproducible for a fixed (seed, workers) pair
 and different seeds give statistically independent runs.  Worker counts
 partition the trials; changing the worker count changes the stream layout,
-which preserves correctness but not bit-identity.  A toss is a head iff the
+which preserves correctness but not bit-identity.  The process pool never
+exceeds ``os.cpu_count()``; W workers still mean W seed streams, so the cap
+changes where streams run, never what they draw.  A toss is a head iff the
 next uniform draw in [0, 1) is strictly below p, so p = 0 never tosses heads
 and p = 1 always does.
 
@@ -16,6 +18,7 @@ target on their k-th turn, -k when the second player wins on theirs.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -108,9 +111,10 @@ def _stream_seed(seed: int, worker: int) -> int:
 
 
 def _run_jobs(jobs: list[tuple], workers: int) -> list[tuple[int, Counter]]:
-    if workers > 1 and len(jobs) > 1:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes > 1:
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            with ProcessPoolExecutor(max_workers=processes) as pool:
                 return list(pool.map(_run_stream, jobs))
         except (OSError, NotImplementedError):
             pass  # no process support here; fall through to in-process execution

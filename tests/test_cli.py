@@ -190,6 +190,44 @@ def test_verify_default_grid(capsys):
     assert out.strip() == "72/72 cases match"
 
 
+def test_verify_reaches_past_twenty_turns(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "30", "--max-alpha", "1", "--max-beta", "1")
+    assert code == 0
+    assert out == "30/30 cases match\n"
+
+
+def test_verify_without_skips_has_no_skipped_output(capsys):
+    _, out, _ = run_cli(capsys, "verify", "--max-n", "3", "--max-alpha", "1", "--max-beta", "1", "--format", "json")
+    assert out == '{"total": 3, "matched": 3, "mismatches": []}\n'
+
+
+def test_verify_skips_cases_beyond_the_oracle_cap(capsys, monkeypatch):
+    import coinrace.oracle as oracle_module
+
+    monkeypatch.setattr(oracle_module, "MAX_TURNS", 3)
+    argv = ["verify", "--max-n", "5", "--max-alpha", "1", "--max-beta", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "3/3 cases match\n2 cases skipped: longer than the oracle's turn cap\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["total"], doc["matched"], doc["mismatches"]) == (3, 3, [])
+    assert doc["skipped"] == [{"n": 4, "alpha": 1, "beta": 1}, {"n": 5, "alpha": 1, "beta": 1}]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["minimize", "--n", "5", "--alpha", "1", "--beta", "1"], ["table", "6"]],
+)
+def test_non_finite_tol_exits_2(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err == "error: tol must be finite and > 0\n"
+
+
 def test_verify_detects_corruption(capsys, monkeypatch):
     from types import MappingProxyType
 

@@ -147,7 +147,7 @@ def test_convergence_toward_limit_bias():
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinrace.minimize import _isolate_unit_interval_roots
+from coinrace.minimize import _integer_coeffs, _isolate_unit_interval_roots
 from coinrace.polynomial import ONE, Poly
 
 unit_roots = st.fractions(
@@ -198,3 +198,29 @@ def test_isolation_of_rootless_polynomial():
 @given(st.lists(unit_roots, min_size=1, max_size=4))
 def test_isolation_finds_planted_roots(roots):
     assert_brackets_match(roots)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_tol_must_be_finite(tol):
+    with pytest.raises(ParameterError, match="finite"):
+        minimize_advantage(GameParams(5, 1, 1), tol=tol)
+    with pytest.raises(ParameterError, match="finite"):
+        minimize_advantage(GameParams(2, 2, 1), tol=tol)  # degenerate games too
+
+
+@pytest.mark.parametrize("game", [(51, 1, 1), (45, 1, 2)])
+def test_isolation_agrees_with_sympy_at_degree_near_100(game):
+    sympy = pytest.importorskip("sympy")
+    dpoly = advantage_polynomial(GameParams(*game)).poly.derivative()
+    tol = Fraction(1, 10**12)
+    ours = _isolate_unit_interval_roots(dpoly, tol)
+    reference = sympy.Poly(list(reversed(_integer_coeffs(dpoly))), sympy.Symbol("p"))
+    theirs = [
+        (Fraction(str(a)), Fraction(str(b)))
+        for (a, b), _ in reference.intervals(eps=tol, inf=0, sup=1)
+        if 0 < a and b < 1
+    ]
+    assert dpoly.degree >= 85
+    assert len(ours) == len(theirs) >= 1
+    for (lo, hi), (a, b) in zip(ours, sorted(theirs)):
+        assert max(lo, a) <= min(hi, b)  # both brackets hold the same root

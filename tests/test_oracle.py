@@ -1,4 +1,4 @@
-"""Brute-force enumeration oracle: self-consistency and independence."""
+"""Score-state dynamic-programming oracle: self-consistency and independence."""
 
 import inspect
 from fractions import Fraction
@@ -50,7 +50,6 @@ def test_matches_analytic_construction():
 
 
 def test_matches_analytic_up_to_fourteen_turns():
-    # deeper games exercise the enumeration up to 2^14 prefixes
     from coinrace.advantage import advantage_at
 
     p = Fraction(2, 7)
@@ -61,7 +60,21 @@ def test_matches_analytic_up_to_fourteen_turns():
             assert brute_force_advantage(params, p) == advantage_at(GameParams(n, 1, beta), p)
 
 
-def test_oversized_enumeration_rejected():
+@pytest.mark.parametrize(
+    "n, alpha, beta",
+    [(n, 1, beta) for n in (25, 40, 60, 100) for beta in (1, 2, 3)] + [(150, 2, 3)],
+)
+def test_matches_analytic_beyond_twenty_turns(n, alpha, beta):
+    params = nparams(n, alpha, beta)
+    assert brute_force_hit_pmf(params) == dict(hit_time_distribution(params).pmf)
+
+
+def test_oversized_enumeration_rejected(monkeypatch):
+    cap = oracle_module.MAX_TURNS
+    with pytest.raises(ParameterError, match="oversized"):
+        brute_force_hit_pmf(NormalizedParams(cap + 1, 1, 1))
+    monkeypatch.setattr(oracle_module, "MAX_TURNS", 20)
+    assert max(brute_force_hit_pmf(NormalizedParams(20, 1, 1))) == 20
     with pytest.raises(ParameterError, match="oversized"):
         brute_force_hit_pmf(NormalizedParams(21, 1, 1))
 

@@ -1,6 +1,8 @@
 """Monte Carlo simulator: determinism, statistics, histogram law."""
 
+import importlib
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,9 @@ from coinrace.game import GameParams, ParameterError, normalize
 from coinrace.minimize import asymptotic_optimum
 from coinrace.simulate import SimConfig, simulate, simulate_at_pstar
 from coinrace.stopping import hit_time_distribution
+
+# the package re-exports the function `simulate`, which shadows the submodule
+simulate_module = importlib.import_module("coinrace.simulate")
 
 
 def test_deterministic_bias_endpoints():
@@ -93,6 +98,39 @@ def test_worker_count_preserves_statistics():
     assert abs(single.frequency - multi.frequency) <= 5 * single.stderr
     # fixed worker count stays bit-identical
     assert multi == simulate(SimConfig(g, 0.3, 20000, seed=11, workers=3))
+
+
+def test_pool_is_capped_at_cpu_count_but_streams_are_kept(monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        # stands in for ProcessPoolExecutor: records the size, runs jobs here
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    config = SimConfig(GameParams(5, 1, 1), 0.3, 4000, seed=5, workers=8)
+    monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    capped = simulate(config)
+    assert pools == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    in_process = simulate(config)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate(config) == in_process
+    assert pools == [2]  # one CPU, or an unknown count, never starts a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    uncapped = simulate(config)
+    assert pools == [2, 8]
+    assert capped == in_process == uncapped  # still eight seed streams
 
 
 def test_simulate_at_limit_bias():
