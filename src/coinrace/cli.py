@@ -404,8 +404,10 @@ def run_grid_verification(
     Returns (checked case count, mismatch records, skipped records).  Cases
     that last longer than the oracle's turn cap are skipped, not checked.
     ``analytic`` is injectable so the negative path is testable with a
-    corrupted builder.
+    corrupted builder.  An empty grid is a ParameterError, not a pass.
     """
+    if min(max_n, max_alpha, max_beta) < 1:
+        raise ParameterError("max-n, max-alpha and max-beta must be >= 1")
     build = analytic if analytic is not None else hit_time_distribution
     mismatches = []
     skipped = []

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .advantage import advantage_at, advantage_polynomial
+from .advantage import AdvantageResult, advantage_at, advantage_polynomial
 from .game import GameParams, ParameterError
 from .polynomial import Poly
 from .stopping import ConsistencyError
@@ -61,9 +61,17 @@ def minimize_advantage(params: GameParams, tol: float = 1e-9) -> MinimizationRes
     advantage is compared exactly at all bracket midpoints and both
     endpoints.  Degenerate games (advantage identically 1) short-circuit.
     """
+    _check_tol(tol)
+    return _minimize(advantage_polynomial(params), tol)
+
+
+def _check_tol(tol: float) -> None:
     if not math.isfinite(tol) or tol <= 0:
         raise ParameterError("tol must be finite and > 0")
-    adv = advantage_polynomial(params)
+
+
+def _minimize(adv: AdvantageResult, tol: float) -> MinimizationResult:
+    """``minimize_advantage`` on an already built polynomial; the caller checks ``tol``."""
     if adv.degenerate:
         return MinimizationResult(
             degenerate=True,
@@ -133,6 +141,12 @@ def advantage_at_asymptotic(params: GameParams) -> float:
     """
     optimum = asymptotic_optimum(params.alpha, params.beta)
     return float(advantage_at(params, Fraction(optimum.bias)))
+
+
+def _at_limit_bias(adv: AdvantageResult) -> float:
+    """``advantage_at_asymptotic`` on an already built polynomial."""
+    optimum = asymptotic_optimum(adv.params.alpha, adv.params.beta)
+    return float(adv.poly(Fraction(optimum.bias)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from importlib import resources
 
 from .advantage import AdvantageResult, advantage_polynomial
 from .game import GameParams, ParameterError
-from .minimize import advantage_at_asymptotic, minimize_advantage
+from .minimize import _at_limit_bias, _check_tol, _minimize
 
 POLYNOMIAL_TABLES: dict[int, tuple[int, int, list[int]]] = {
     1: (1, 1, list(range(1, 13))),
@@ -60,18 +60,22 @@ def reference_minimized() -> tuple[list[dict], float]:
 
 
 def minimized_table(tol: float = 1e-9) -> tuple[list[MinimizedRow], float]:
-    """Recompute both columns of the minimized-advantage table."""
+    """Recompute both columns of the minimized-advantage table.
+
+    Each row's polynomial is built once and serves both columns.
+    """
+    _check_tol(tol)
     rows, tolerance = reference_minimized()
     out = []
     for row in rows:
-        params = GameParams(row["n"], row["alpha"], row["beta"])
+        adv = advantage_polynomial(GameParams(row["n"], row["alpha"], row["beta"]))
         out.append(
             MinimizedRow(
                 n=row["n"],
                 alpha=row["alpha"],
                 beta=row["beta"],
-                min_value=minimize_advantage(params, tol).value,
-                limit_value=advantage_at_asymptotic(params),
+                min_value=_minimize(adv, tol).value,
+                limit_value=_at_limit_bias(adv),
                 reference_min=row["min_value"],
                 reference_limit=row["limit_value"],
                 flagged=row["flagged"],

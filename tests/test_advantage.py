@@ -1,14 +1,17 @@
 """Advantage polynomial assembly and its structural laws."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coinrace.advantage import advantage_at, advantage_polynomial, tie_probability
-from coinrace.game import GameParams, ParameterError
-from coinrace.polynomial import ONE, Poly
+from coinrace.advantage import _sum_of_squares, advantage_at, advantage_polynomial, tie_probability
+from coinrace.game import GameParams, ParameterError, normalize
+from coinrace.oracle import brute_force_hit_pmf
+from coinrace.polynomial import ONE, ZERO, Poly
+from coinrace.stopping import ConsistencyError
 
 params_rationals = st.fractions(min_value=Fraction(1, 2), max_value=6, max_denominator=4)
 scales = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
@@ -108,3 +111,58 @@ def test_scaling_invariance(n, alpha, beta, c):
     base = advantage_polynomial(GameParams(n, alpha, beta))
     scaled = advantage_polynomial(GameParams(c * n, c * alpha, c * beta))
     assert base.poly == scaled.poly
+
+
+# Integers of 1 to 300 bits with either sign, and zero.
+big_coeffs = st.integers(min_value=1, max_value=300).flatmap(
+    lambda bits: st.integers(min_value=-(1 << bits) + 1, max_value=(1 << bits) - 1)
+)
+
+
+def naive_sum_of_squares(polys):
+    return sum((f * f for f in polys), Poly())
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.lists(big_coeffs, max_size=12).map(Poly), max_size=6))
+@example([])
+@example([ZERO])
+@example([ZERO, Poly((7,)), ZERO])
+@example([Poly((-(1 << 299),))])
+@example([Poly((0, 0, -3)), Poly((5, -1))])
+def test_sum_of_squares_matches_naive_products(polys):
+    assert _sum_of_squares(polys) == naive_sum_of_squares(polys)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [181],  # 181^2 = 32761 has 15 bits: a 2-byte slot with no spare bit
+        [120, 127],  # 14400 + 16129 = 30529, also 15 bits
+        [200],  # 40000 has 16 bits: the sign bit needs a third byte
+        [math.isqrt((1 << 255) - 1)],  # a 255-bit bound: 32-byte slots, no slack
+        [-(1 << 100), 3, 1 << 60],
+    ],
+)
+def test_sum_of_squares_at_the_proven_bound(coeffs):
+    # sum_k (c_k p^3)^2 = (sum_k c_k^2) p^6, and sum_k c_k^2 is exactly the bound
+    # sum_k ||f_k||_1^2 that sizes the slots.
+    polys = [Poly((0, 0, 0, c)) for c in coeffs]
+    bound = sum(c * c for c in coeffs)
+    result = _sum_of_squares(polys)
+    assert result == Poly((0,) * 6 + (bound,))
+    assert result == naive_sum_of_squares(polys)
+
+
+def test_sum_of_squares_rejects_non_integer_coefficients():
+    with pytest.raises(ConsistencyError):
+        _sum_of_squares([Poly((1, 2)), Poly((0, Fraction(1, 2)))])
+
+
+def test_advantage_matches_oracle_products_at_degree_118():
+    # Shares neither the analytic pmf nor the Kronecker squaring: oracle pmf,
+    # plain Poly products.
+    pmf = brute_force_hit_pmf(normalize(GameParams(60, 1, 1)))
+    expected = Fraction(1, 2) * (naive_sum_of_squares(pmf.values()) + 1)
+    assert expected.degree == 118
+    assert advantage_polynomial(GameParams(60, 1, 1)).poly == expected

@@ -9,7 +9,7 @@ import pytest
 
 import coinrace.cli as cli
 from coinrace.advantage import advantage_at
-from coinrace.game import GameParams
+from coinrace.game import GameParams, ParameterError
 from coinrace.polynomial import Poly
 
 
@@ -226,6 +226,21 @@ def test_non_finite_tol_exits_2(capsys, argv, tol):
     assert code == 2
     assert out == ""
     assert err == "error: tol must be finite and > 0\n"
+
+
+@pytest.mark.parametrize("bounds", [(0, 3, 3), (5, 0, 1), (5, 1, -2)])
+def test_empty_verify_grid_is_a_parameter_error(bounds):
+    with pytest.raises(ParameterError):
+        cli.run_grid_verification(*bounds)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
+@pytest.mark.parametrize("flag", ["--max-n", "--max-alpha", "--max-beta"])
+def test_verify_bound_below_one_exits_2(capsys, fmt, flag):
+    code, out, err = run_cli(capsys, "verify", flag, "0", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: max-n, max-alpha and max-beta must be >= 1\n"
 
 
 def test_verify_detects_corruption(capsys, monkeypatch):

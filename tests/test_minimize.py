@@ -224,3 +224,33 @@ def test_isolation_agrees_with_sympy_at_degree_near_100(game):
     assert len(ours) == len(theirs) >= 1
     for (lo, hi), (a, b) in zip(ours, sorted(theirs)):
         assert max(lo, a) <= min(hi, b)  # both brackets hold the same root
+
+
+def test_minimized_table_builds_each_polynomial_once(monkeypatch):
+    import coinrace.tables as tables
+
+    built = []
+
+    def counting(params):
+        built.append(params)
+        return advantage_polynomial(params)
+
+    monkeypatch.setattr(tables, "advantage_polynomial", counting)
+    rows, _ = tables.minimized_table(1e-9)
+    assert len(built) == len(rows) == len(tables.reference_minimized()[0])
+    for row in rows:
+        params = GameParams(row.n, row.alpha, row.beta)
+        assert row.min_value == minimize_advantage(params, 1e-9).value
+        assert row.limit_value == advantage_at_asymptotic(params)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_minimized_table_rejects_tol_before_building(monkeypatch, tol):
+    import coinrace.tables as tables
+
+    def never(params):
+        raise AssertionError("built a polynomial before checking tol")
+
+    monkeypatch.setattr(tables, "advantage_polynomial", never)
+    with pytest.raises(ParameterError):
+        tables.minimized_table(tol)
