@@ -7,10 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import cli_golden
 import coinrace.cli as cli
 from coinrace.advantage import advantage_at
 from coinrace.game import GameParams, ParameterError
 from coinrace.polynomial import Poly
+
+GOLDEN = cli_golden.load()
 
 
 def run_cli(capsys, *argv):
@@ -152,26 +155,12 @@ def test_table_6_reports_and_annotates(capsys):
     assert len(clean) >= 12
 
 
-@pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["poly", "--n", "5", "--alpha", "1", "--beta", "1"],
-        ["pmf", "--n", "5", "--alpha", "1", "--beta", "1"],
-        ["minimize", "--n", "5", "--alpha", "1", "--beta", "1"],
-        ["minimize", "--n", "2", "--alpha", "2", "--beta", "1"],
-        ["pstar", "--alpha", "2", "--beta", "3"],
-        ["simulate", "--n", "5", "--alpha", "1", "--beta", "1", "--p", "1/3",
-         "--trials", "50", "--seed", "1"],
-        ["table", "2"],
-        ["table", "6", "--tol", "1e-4"],
-        ["verify", "--max-n", "2", "--max-alpha", "1", "--max-beta", "2"],
-    ],
-)
-def test_every_command_renders_in_every_format(capsys, argv, fmt):
-    code, out, err = run_cli(capsys, *argv, "--format", fmt)
-    assert code == 0
-    assert out.strip()
+@pytest.mark.parametrize("fmt", cli_golden.FORMATS)
+@pytest.mark.parametrize("argv", cli_golden.CASES)
+def test_every_command_renders_in_every_format(argv, fmt):
+    patch, args = argv
+    args = args + ["--format", fmt]
+    assert cli_golden.run(patch, args) == GOLDEN[cli_golden.key(patch, args)]
 
 
 def test_verify_reports_match(capsys):
