@@ -59,7 +59,6 @@ def simulate(config: SimConfig) -> SimResult:
     jobs = [
         (nparams.n, nparams.alpha, nparams.beta, config.p, share, _stream_seed(config.seed, w))
         for w, share in enumerate(shares)
-        if share
     ]
     outcomes = _run_jobs(jobs, config.workers)
     wins = 0
@@ -98,8 +97,10 @@ def _validate(config: SimConfig) -> None:
 
 
 def _split_trials(trials: int, workers: int) -> list[int]:
-    base, extra = divmod(trials, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+    """Trials per stream; only the first ``min(workers, trials)`` streams get any."""
+    streams = min(workers, trials)
+    base, extra = divmod(trials, streams)
+    return [base + (1 if w < extra else 0) for w in range(streams)]
 
 
 def _stream_seed(seed: int, worker: int) -> int:

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +257,19 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert code == 1
     assert "mismatch: n=3 alpha=1 beta=1" in out
     assert "3/4 cases match" in out
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 148 KB of output, more than a pipe holds, so the CLI is still writing
+    # when the reader closes its end after the first 100 bytes.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "coinrace.cli", "pmf", "--n", "120", "--alpha", "1", "--beta", "1"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head.startswith(b"k=")
+    assert err == b""

@@ -100,6 +100,15 @@ def test_worker_count_preserves_statistics():
     assert multi == simulate(SimConfig(g, 0.3, 20000, seed=11, workers=3))
 
 
+def test_streams_are_allocated_per_trial_not_per_worker():
+    # only min(workers, trials) streams get trials; a huge worker count must
+    # not build a list with one entry per worker
+    g = GameParams(5, 1, 1)
+    assert simulate(SimConfig(g, 0.3, 3, seed=9, workers=10**12)) == simulate(
+        SimConfig(g, 0.3, 3, seed=9, workers=3)
+    )
+
+
 def test_pool_is_capped_at_cpu_count_but_streams_are_kept(monkeypatch):
     pools = []
 
