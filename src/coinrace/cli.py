@@ -229,12 +229,11 @@ def _cmd_table(args) -> Report:
     if args.which != 6:
         raise ParameterError(f"unknown table {args.which}; valid tables are 1-6")
     rows, tolerance = minimized_table(args.tol)
-    notes = [
-        "advisory: reference row inconsistent with exact recomputation"
-        if row.flagged or not row.within_tolerance(tolerance) else ""
+    annotated = [
+        (row, "advisory: reference row inconsistent with exact recomputation"
+         if row.flagged or not row.within_tolerance(tolerance) else "")
         for row in rows
     ]
-    annotated = list(zip(rows, notes))
     return Report(
         {"table": 6, "tolerance": tolerance,
          "rows": [{"n": row.n, "alpha": row.alpha, "beta": row.beta,

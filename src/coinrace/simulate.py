@@ -7,8 +7,8 @@ index, so a run is bit-for-bit reproducible for a fixed (seed, workers) pair
 and different seeds give statistically independent runs.  Worker counts
 partition the trials; changing the worker count changes the stream layout,
 which preserves correctness but not bit-identity.  The process pool never
-exceeds ``os.cpu_count()``; W workers still mean W seed streams, so the cap
-changes where streams run, never what they draw.  A toss is a head iff the
+exceeds ``os.cpu_count()``; W workers still mean min(W, trials) seed streams,
+so the cap changes where streams run, never what they draw.  A toss is a head iff the
 next uniform draw in [0, 1) is strictly below p, so p = 0 never tosses heads
 and p = 1 always does.
 
