@@ -12,8 +12,11 @@ so the cap changes where streams run, never what they draw.  A toss is a head if
 next uniform draw in [0, 1) is strictly below p, so p = 0 never tosses heads
 and p = 1 always does.
 
-A game returns the signed turn count: +k when the first player reaches the
-target on their k-th turn, -k when the second player wins on theirs.
+Each stream plays its games in one loop and tallies the signed turn count of
+each: +k when the first player reaches the target on their k-th turn, -k when
+the second player wins on theirs.  The tally is a dict keyed by the turns that
+occurred, so its memory grows with the number of distinct outcomes, never with
+the target n.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import Mapping
@@ -111,9 +113,12 @@ def _stream_seed(seed: int, worker: int) -> int:
     return x ^ (x >> 31)
 
 
-def _run_jobs(jobs: list[tuple], workers: int) -> list[tuple[int, Counter]]:
+def _run_jobs(jobs: list[tuple], workers: int) -> list[tuple[int, dict[int, int]]]:
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
+        # imported here so that importing the package (and every CLI start) skips the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=processes) as pool:
                 return list(pool.map(_run_stream, jobs))
@@ -122,31 +127,21 @@ def _run_jobs(jobs: list[tuple], workers: int) -> list[tuple[int, Counter]]:
     return [_run_stream(job) for job in jobs]
 
 
-def _run_stream(job: tuple) -> tuple[int, Counter]:
+def _run_stream(job: tuple) -> tuple[int, dict[int, int]]:
     n, alpha, beta, p, trials, stream_seed = job
     rng = random.Random(stream_seed).random
-    wins = 0
-    histogram: Counter[int] = Counter()
+    heads = alpha + beta
+    counts: dict[int, int] = {}
     for _ in range(trials):
-        outcome = _play(rng, n, alpha, beta, p)
-        if outcome > 0:
-            wins += 1
-        histogram[outcome] += 1
-    return wins, histogram
-
-
-def _play(rng, n: int, alpha: int, beta: int, p: float) -> int:
-    first = second = 0
-    turns = 0
-    while True:
-        turns += 1
-        first += alpha
-        if rng() < p:
-            first += beta
-        if first >= n:
-            return turns
-        second += alpha
-        if rng() < p:
-            second += beta
-        if second >= n:
-            return -turns
+        first = second = turn = 0
+        while True:
+            turn += 1
+            first += heads if rng() < p else alpha
+            if first >= n:
+                break
+            second += heads if rng() < p else alpha
+            if second >= n:
+                turn = -turn
+                break
+        counts[turn] = counts.get(turn, 0) + 1
+    return sum(c for t, c in counts.items() if t > 0), counts

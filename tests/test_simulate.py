@@ -3,9 +3,16 @@
 import importlib
 import math
 import os
+import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinrace.advantage import advantage_at
 from coinrace.game import GameParams, ParameterError, normalize
@@ -127,7 +134,7 @@ def test_pool_is_capped_at_cpu_count_but_streams_are_kept(monkeypatch):
             return map(fn, jobs)
 
     config = SimConfig(GameParams(5, 1, 1), 0.3, 4000, seed=5, workers=8)
-    monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     capped = simulate(config)
     assert pools == [2]
@@ -166,3 +173,80 @@ def test_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ParameterError):
         simulate(SimConfig(**base))
+
+
+def reference_run_stream(job: tuple) -> tuple[int, Counter]:
+    """The per-game stream loop the fused `_run_stream` replaced, kept as its reference."""
+    n, alpha, beta, p, trials, stream_seed = job
+    rng = random.Random(stream_seed).random
+    wins = 0
+    histogram: Counter[int] = Counter()
+    for _ in range(trials):
+        outcome = reference_play(rng, n, alpha, beta, p)
+        if outcome > 0:
+            wins += 1
+        histogram[outcome] += 1
+    return wins, histogram
+
+
+def reference_play(rng, n: int, alpha: int, beta: int, p: float) -> int:
+    first = second = 0
+    turns = 0
+    while True:
+        turns += 1
+        first += alpha
+        if rng() < p:
+            first += beta
+        if first >= n:
+            return turns
+        second += alpha
+        if rng() < p:
+            second += beta
+        if second >= n:
+            return -turns
+
+
+EDGE_BIASES = [0.0, 1.0, 0.3, asymptotic_optimum(1, 1).bias, 1 - 2**-53, 2**-60]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 100])
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 1), (2, 3), (3, 7)])
+def test_fused_stream_matches_per_game_reference(n, alpha, beta):
+    for p in EDGE_BIASES:
+        for seed in (0, 12345, 2**64 - 1):
+            job = (n, alpha, beta, p, 300, simulate_module._stream_seed(seed, 0))
+            wins, counts = simulate_module._run_stream(job)
+            assert (wins, counts) == reference_run_stream(job), (p, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    alpha=st.integers(1, 5),
+    beta=st.integers(1, 5),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_fused_stream_matches_reference_on_random_games(n, alpha, beta, p, seed):
+    job = (n, alpha, beta, p, 50, seed)
+    assert simulate_module._run_stream(job) == reference_run_stream(job)
+
+
+def test_histogram_memory_does_not_grow_with_n():
+    # up to 2 * 10**12 turns are possible, but only the one that occurs is stored
+    result = simulate(SimConfig(GameParams(10**12, 1, 10**12), 1.0, 10, seed=1))
+    assert result.wins == 10
+    assert result.turn_histogram == {1: 1.0}
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    src = str(Path(simulate_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, coinrace.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    ).stdout
+    assert out == "[]\n"

@@ -1,6 +1,7 @@
 """Win-turn distribution: construction rules, clamping and exact identities."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -94,6 +95,34 @@ def test_mixed_sum_lower_bound_identity():
             i_k, _ = head_thresholds(k, params)
             assert ceil(Fraction(params.n - k * params.alpha, params.beta)) == i_k + 1
 
+
+
+def binomial_tail(k, h):
+    """U(p) = P(Bin(k, p) >= h) from its closed-form monomial coefficients."""
+    if h <= 0:
+        return ONE
+    if h > k:
+        return Poly()
+    coeffs = [0] * (k + 1)
+    for i in range(h, k + 1):
+        coeffs[i] = (-1) ** (i - h) * comb(i - 1, h - 1) * comb(k, i)
+    return Poly(coeffs)
+
+
+def test_pmf_is_a_difference_of_binomial_tails():
+    # {T <= k} = {S_k >= n}, and S_k >= n iff the k tosses give at least
+    # h = ceil((n - k*alpha)/beta) heads, so f_k = U_k - U_{k-1}
+    def tail(k, params):
+        h = -(-(params.n - k * params.alpha) // params.beta)
+        return binomial_tail(k, h)
+
+    turns = 0
+    for params in all_small_games(max_n=24, max_alpha=4, max_beta=4):
+        bounds = turn_bounds(params)
+        for k in range(bounds.l, bounds.m + 1):
+            assert hit_time_pmf(k, params) == tail(k, params) - tail(k - 1, params), (k, params)
+            turns += 1
+    assert turns == 1736
 
 def test_mass_defect_aborts_with_first_bad_turn(monkeypatch):
     import coinrace.stopping as stopping
