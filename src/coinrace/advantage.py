@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .game import GameParams, NormalizedParams, ParameterError, TurnBounds, normalize, turn_bounds
+from .game import GameParams, NormalizedParams, ParameterError, TurnBounds, normalize, parse_rational, turn_bounds
 from .polynomial import ONE, Poly
 from .stopping import ConsistencyError, hit_time_distribution
 
@@ -43,7 +43,7 @@ def _sum_of_squares(polys: Iterable[Poly]) -> Poly:
     for f in polys:
         if not f.is_integral():
             raise ConsistencyError(f"tie sum of a non-integer polynomial: {f!r}")
-        rows.append([c.numerator for c in f.coeffs])
+        rows.append(f.coeffs)
     # |coefficient of sum_k f_k^2| <= sum_k ||f_k||_1^2; one spare bit for the sign.
     bound = sum(sum(map(abs, row)) ** 2 for row in rows)
     width = bound.bit_length() // 8 + 1  # bytes that hold bound.bit_length() + 1 bits
@@ -82,7 +82,13 @@ def advantage_polynomial(params: GameParams) -> AdvantageResult:
     bounds = turn_bounds(nparams)
     degenerate = bounds.l == bounds.m
     dist = hit_time_distribution(nparams)
-    poly = Fraction(1, 2) * (_sum_of_squares(dist.pmf.values()) + 1)
+    doubled = (_sum_of_squares(dist.pmf.values()) + 1).coeffs
+    odd = [j for j, c in enumerate(doubled) if c & 1]
+    if odd:
+        raise ConsistencyError(
+            f"advantage has a non-integer coefficient at p^{odd[0]} for {nparams}"
+        )
+    poly = Poly(c >> 1 for c in doubled)
     if degenerate:
         if poly != ONE:
             raise ConsistencyError(
@@ -94,14 +100,12 @@ def advantage_polynomial(params: GameParams) -> AdvantageResult:
             raise ConsistencyError(
                 f"advantage degree {poly.degree} != 2m-2 = {expected} for {nparams}"
             )
-        if not poly.is_integral():
-            raise ConsistencyError(f"advantage has a non-integer coefficient: {poly!r}")
     return AdvantageResult(nparams, bounds, poly, degenerate)
 
 
 def advantage_at(params: GameParams, p: int | Fraction) -> Fraction:
     """Exact winning probability of the first player at coin bias p."""
-    p = Fraction(p)
+    p = parse_rational(p)
     if not 0 <= p <= 1:
         raise ParameterError("p must be in [0, 1]")
     return advantage_polynomial(params).poly(p)

@@ -26,10 +26,13 @@ class ParameterError(ValueError):
 
 
 def parse_rational(text: RationalLike) -> Fraction:
-    """Parse ``"a"``, ``"a/b"`` or a finite decimal string such as ``"2.5"``."""
+    """Parse ``"a"``, ``"a/b"`` or a finite decimal string such as ``"2.5"``.
+
+    Numbers convert exactly; NaN and infinities raise ``ParameterError``.
+    """
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ParameterError(f"not a valid rational: {text!r}") from exc
 
 

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .advantage import AdvantageResult, advantage_at, advantage_polynomial
-from .game import GameParams, ParameterError
+from .game import GameParams, ParameterError, parse_rational
 from .polynomial import Poly
 from .stopping import ConsistencyError
 
@@ -113,7 +113,7 @@ def asymptotic_optimum(alpha, beta) -> AsymptoticOptimum:
     Evaluated as t / (1 + t + sqrt(1 + t + t^2)), which is algebraically the
     same but avoids the cancellation of the direct form for large t.
     """
-    a, b = Fraction(alpha), Fraction(beta)
+    a, b = parse_rational(alpha), parse_rational(beta)
     if a <= 0 or b <= 0:
         raise ParameterError("alpha and beta must be > 0")
     t = a / b
@@ -124,7 +124,7 @@ def asymptotic_optimum(alpha, beta) -> AsymptoticOptimum:
 
 def limiting_variance(p: float, alpha, beta) -> float:
     """(alpha + beta*p)^3 / (beta^2 * p * (1-p)); the scale whose minimum sets the limit bias."""
-    a, b = float(alpha), float(beta)
+    a, b = float(parse_rational(alpha)), float(parse_rational(beta))
     if a <= 0 or b <= 0:
         raise ParameterError("alpha and beta must be > 0")
     if not 0 < p < 1:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .game import NormalizedParams, ParameterError
+from .game import NormalizedParams, ParameterError, parse_rational
 from .polynomial import Poly
 
 # Cap on m = ceil(n/alpha), the most turns a game can last.  At the cap the
@@ -72,7 +72,7 @@ def brute_force_advantage(params: NormalizedParams, p: int | Fraction) -> Fracti
     the first mover wins ties, so the win probability is
     (1 + sum_k pmf(k)(p)^2) / 2.
     """
-    p = Fraction(p)
+    p = parse_rational(p)
     if not 0 <= p <= 1:
         raise ParameterError("p must be in [0, 1]")
     pmf = brute_force_hit_pmf(params)

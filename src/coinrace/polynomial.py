@@ -1,10 +1,14 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 A polynomial is a dense, ascending coefficient sequence: ``Poly((1, -2, 1))``
-is ``1 - 2p + p^2``.  Coefficients are :class:`fractions.Fraction`, so every
-operation is exact at arbitrary precision.  Trailing zero coefficients are
-stripped on construction; the zero polynomial stores no coefficients and has
-degree ``None``.  Instances are immutable and safe to share between threads.
+is ``1 - 2p + p^2``.  An integral coefficient is stored as a Python ``int``
+and any other as a :class:`fractions.Fraction`, so every operation is exact
+at arbitrary precision and the integer polynomials the library builds never
+pay for Fraction arithmetic.  ``Fraction(3) == 3`` and their hashes agree, so
+equality, hashing and rendering do not depend on which type a value came in
+as.  Trailing zero coefficients are stripped on construction; the zero
+polynomial stores no coefficients and has degree ``None``.  Instances are
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -22,14 +26,17 @@ class Poly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._coeffs: tuple[int | Fraction, ...] = tuple(cs)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Ascending coefficients with no trailing zeros (empty for zero)."""
+    def coeffs(self) -> tuple[int | Fraction, ...]:
+        """Ascending coefficients with no trailing zeros (empty for zero).
+
+        Integral coefficients are ``int``; the others are ``Fraction``.
+        """
         return self._coeffs
 
     @property
@@ -44,8 +51,8 @@ class Poly:
         """True when every coefficient is an integer."""
         return all(c.denominator == 1 for c in self._coeffs)
 
-    def constant_term(self) -> Fraction:
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+    def constant_term(self) -> Scalar:
+        return self._coeffs[0] if self._coeffs else 0
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -92,7 +99,7 @@ class Poly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out: list[Scalar] = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -131,6 +138,12 @@ class Poly:
         return render(self)
 
 
+def _exact(c: Scalar) -> Scalar:
+    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _coerce(value: object) -> Poly:
     if isinstance(value, Poly):
         return value
@@ -153,7 +166,7 @@ def binomial(n: int, r: int) -> int:
     return comb(n, r)
 
 
-def _format_coeff(c: Fraction, latex: bool) -> str:
+def _format_coeff(c: Scalar, latex: bool) -> str:
     if c.denominator == 1:
         return f"{c.numerator:,}" if latex else str(c.numerator)
     return f"{c.numerator}/{c.denominator}"

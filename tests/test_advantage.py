@@ -11,7 +11,8 @@ from coinrace.advantage import _sum_of_squares, advantage_at, advantage_polynomi
 from coinrace.game import GameParams, ParameterError, normalize
 from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, ZERO, Poly
-from coinrace.stopping import ConsistencyError
+from coinrace.stopping import ConsistencyError, hit_time_distribution
+from coinrace.tables import POLYNOMIAL_TABLES
 
 params_rationals = st.fractions(min_value=Fraction(1, 2), max_value=6, max_denominator=4)
 scales = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
@@ -48,6 +49,12 @@ def test_advantage_at_rejects_bias_outside_unit_interval():
     for p in (Fraction(-1, 10), Fraction(11, 10)):
         with pytest.raises(ParameterError):
             advantage_at(GameParams(3, 1, 1), p)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_advantage_at_rejects_non_finite_bias(p):
+    with pytest.raises(ParameterError):
+        advantage_at(GameParams(3, 1, 1), p)
 
 
 def test_tie_probability_known_values():
@@ -159,6 +166,15 @@ def test_sum_of_squares_rejects_non_integer_coefficients():
         _sum_of_squares([Poly((1, 2)), Poly((0, Fraction(1, 2)))])
 
 
+def test_odd_tie_coefficient_aborts_the_halving(monkeypatch):
+    import coinrace.advantage as advantage_module
+
+    # 1 + (1 + 3p - 2p^2 + 2p^3 + p^4) has the odd coefficient 3 at p^1
+    monkeypatch.setattr(advantage_module, "_sum_of_squares", lambda polys: Poly((1, 3, -2, 2, 1)))
+    with pytest.raises(ConsistencyError, match=r"non-integer coefficient at p\^1 "):
+        advantage_polynomial(GameParams(3, 1, 1))
+
+
 def test_advantage_matches_oracle_products_at_degree_118():
     # Shares neither the analytic pmf nor the Kronecker squaring: oracle pmf,
     # plain Poly products.
@@ -166,3 +182,26 @@ def test_advantage_matches_oracle_products_at_degree_118():
     expected = Fraction(1, 2) * (naive_sum_of_squares(pmf.values()) + 1)
     assert expected.degree == 118
     assert advantage_polynomial(GameParams(60, 1, 1)).poly == expected
+
+
+TABLE_GAMES = [
+    GameParams(n, alpha, beta)
+    for alpha, beta, ns in POLYNOMIAL_TABLES.values()
+    for n in ns
+]
+
+
+def all_ints(poly):
+    return all(type(c) is int for c in poly.coeffs)
+
+
+@pytest.mark.parametrize("game", TABLE_GAMES + [GameParams(100, 1, 1)], ids=str)
+def test_integer_polynomials_store_int_coefficients(game):
+    assert all_ints(advantage_polynomial(game).poly)
+    assert all_ints(tie_probability(game))
+    assert all(all_ints(f) for f in hit_time_distribution(normalize(game)).pmf.values())
+
+
+def test_oracle_pmf_stores_int_coefficients():
+    pmf = brute_force_hit_pmf(normalize(GameParams(12, 1, 1)))
+    assert pmf and all(all_ints(f) for f in pmf.values())

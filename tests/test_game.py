@@ -1,5 +1,6 @@
 """Parameter validation, normalization and threshold arithmetic."""
 
+import math
 from fractions import Fraction
 from math import ceil
 
@@ -129,3 +130,12 @@ def test_lower_threshold_characterization(n, alpha, beta):
 def test_bounds_are_ordered(n, alpha, beta):
     bounds = turn_bounds(normalize(GameParams(n, alpha, beta)))
     assert 1 <= bounds.l <= bounds.m
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(math.inf, 1, 1), (1, -math.inf, 1), (1, 1, math.inf), (math.nan, 1, 1), (1, math.nan, 1)],
+)
+def test_non_finite_parameters_are_parameter_errors(args):
+    with pytest.raises(ParameterError, match="not a valid rational"):
+        GameParams(*args)

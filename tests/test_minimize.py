@@ -109,6 +109,16 @@ def test_limiting_variance_value_and_pole():
             limiting_variance(p, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "alpha,beta", [(math.inf, 1), (math.nan, 1), (1, math.inf), (1, -math.inf), (1, math.nan)]
+)
+def test_non_finite_ratio_is_a_parameter_error(alpha, beta):
+    with pytest.raises(ParameterError):
+        asymptotic_optimum(alpha, beta)
+    with pytest.raises(ParameterError):
+        limiting_variance(0.5, alpha, beta)
+
+
 def test_limiting_variance_grid_argmin():
     # scan at step 1e-4: the argmin should sit within one step of 2 - sqrt(3)
     best_p = min((limiting_variance(i / 10**4, 1, 1), i / 10**4) for i in range(1, 10**4))[1]

@@ -1,6 +1,7 @@
 """Score-state dynamic-programming oracle: self-consistency and independence."""
 
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,12 @@ def test_enumerated_advantage_values():
     assert brute_force_advantage(nparams(3, 1, 1), 0) == 1
     for p in (0, Fraction(1, 3), 1):
         assert brute_force_advantage(nparams(2, 2, 1), p) == 1
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, Fraction(-1, 10)])
+def test_advantage_rejects_bias_outside_unit_interval(p):
+    with pytest.raises(ParameterError):
+        brute_force_advantage(nparams(3, 1, 1), p)
 
 
 def test_mass_conservation():

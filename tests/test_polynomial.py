@@ -145,3 +145,92 @@ def test_render_ascending_with_signs():
 
 def test_render_latex():
     assert render(Poly((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1385)), latex=True) == "1 - 1,385p^{11}"
+
+
+# Mixed coefficient lists against a reference model that keeps every value as
+# a Fraction and implements each operation from its definition.
+mixed_coeffs = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+mixed_lists = st.lists(mixed_coeffs, max_size=6)
+
+
+def ref_strip(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_strip(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ref_strip(out)
+
+
+def ref_eval(a, x):
+    return sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def ref_render(a, latex):
+    terms = []
+    for power, c in enumerate(a):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if mag.denominator != 1:
+            digits = f"{mag.numerator}/{mag.denominator}"
+        else:
+            digits = format(mag.numerator, "," if latex else "")
+        if power == 0:
+            body = digits
+        else:
+            exponent = "" if power == 1 else (f"^{{{power}}}" if latex else f"^{power}")
+            body = ("" if mag == 1 else digits) + "p" + exponent
+        sign = "-" if c < 0 else "+"
+        terms.append((sign, body))
+    if not terms:
+        return "0"
+    first_sign, first = terms[0]
+    head = first if first_sign == "+" else "-" + first
+    return " ".join([head] + [f"{s} {b}" for s, b in terms[1:]])
+
+
+def assert_matches(poly, ref):
+    assert poly.coeffs == ref
+    for c, r in zip(poly.coeffs, ref):
+        assert type(c) is (int if r.denominator == 1 else Fraction)
+
+
+@settings(deadline=None, max_examples=200)
+@given(mixed_lists, mixed_lists, st.integers(0, 3), small_rationals)
+def test_mixed_coefficients_match_fraction_model(a_list, b_list, e, x):
+    a, b = Poly(a_list), Poly(b_list)
+    ra, rb = ref_strip(a_list), ref_strip(b_list)
+    assert_matches(a, ra)
+    as_fractions = Poly(Fraction(c) for c in a_list)
+    assert a == as_fractions and hash(a) == hash(as_fractions)
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(a - b, ref_add(ra, tuple(-c for c in rb)))
+    assert_matches(a * b, ref_mul(ra, rb))
+    power = (Fraction(1),)
+    for _ in range(e):
+        power = ref_mul(power, ra)
+    assert_matches(a**e, power)
+    assert_matches(a.derivative(), ref_strip(i * c for i, c in enumerate(ra) if i))
+    for point in (x, 2):
+        value = a(point)
+        assert type(value) is Fraction and value == ref_eval(ra, point)
+    assert render(a) == ref_render(ra, latex=False)
+    assert render(a, latex=True) == ref_render(ra, latex=True)
