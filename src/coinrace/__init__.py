@@ -15,7 +15,6 @@ from .game import (
     NormalizedParams,
     ParameterError,
     TurnBounds,
-    head_thresholds,
     normalize,
     parse_rational,
     turn_bounds,
@@ -54,7 +53,6 @@ __all__ = [
     "binomial",
     "brute_force_advantage",
     "brute_force_hit_pmf",
-    "head_thresholds",
     "hit_time_distribution",
     "hit_time_pmf",
     "limiting_variance",

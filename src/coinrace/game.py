@@ -1,4 +1,4 @@
-"""Game parameters, validation, normalization and turn-count thresholds.
+"""Game parameters, validation, normalization and turn-count bounds.
 
 A game instance is the triple (n, alpha, beta): players alternate tossing a
 coin with heads probability p, a turn scores alpha for tails and alpha + beta
@@ -99,20 +99,3 @@ def turn_bounds(params: NormalizedParams) -> TurnBounds:
     m = ceil(Fraction(params.n, params.alpha))
     return TurnBounds(l, m)
 
-
-def head_thresholds(k: int, params: NormalizedParams) -> tuple[int, int]:
-    """Head-count thresholds for winning exactly on turn k.
-
-    Returns (i_k, i_k_star) where i_k = ceil((n - k*alpha)/beta - 1) is the
-    head count that wins on turn k only if the k-th toss is a head, and
-    i_k_star = ceil((n - (k-1)*alpha)/beta - 1) is the largest head count
-    among the first k-1 tosses that has not yet won.  Values may fall outside
-    [0, k-1]; clamping is the caller's responsibility.
-    """
-    bounds = turn_bounds(params)
-    if not bounds.l <= k <= bounds.m:
-        raise ParameterError(f"k={k} outside the valid turn range [{bounds.l}, {bounds.m}]")
-    n, a, b = params.n, params.alpha, params.beta
-    i_k = ceil(Fraction(n - k * a, b) - 1)
-    i_k_star = ceil(Fraction(n - (k - 1) * a, b) - 1)
-    return i_k, i_k_star

@@ -1,34 +1,24 @@
 """Exact distribution of the turn on which a single player reaches the target.
 
-For each feasible turn count k the probability of winning exactly on turn k
-is assembled from two pieces:
+After k turns with i heads a player holds k*alpha + i*beta points, so the
+target is reached within k turns exactly when the k tosses give at least
+h_k = ceil((n - k*alpha)/beta) heads.  Writing U_k = P(Bin(k, p) >= h_k),
+the probability of winning exactly on turn k is f_k = U_k - U_{k-1}.
 
-* the head-forced term: exactly i_k heads among the first k-1 tosses, where
-  the target is reached on turn k only if the k-th toss is a head;
-* the mixed terms: j heads among the first k-1 tosses for j in
-  (i_k, i_k_star], where turn k wins regardless of the final toss.
-
-Both pieces are clamped to the feasible head-count window [0, k-1] before any
-term is built: the head-forced term is included only when 0 <= i_k <= k-1,
-and the mixed sum runs from max(i_k + 1, 0) to min(i_k_star, k-1).  An empty
-mixed range contributes nothing.  Dropping the clamp and relying on vanishing
-binomial coefficients is not equivalent: a zero coefficient can multiply a
-negative power of p or 1-p, which has no meaning here.  The clamped form is
-validated exhaustively against brute-force enumeration in the test suite.
-
-Every polynomial is fully expanded in p (the tails probability q = 1 - p is
-eliminated eagerly).
+U_k is built from its closed-form monomial coefficients: the coefficient of
+p^i is (-1)^(i-h) * C(i-1, h-1) * C(k, i) for i = h..k.  When h_k <= 0 the
+target is reached even with all tails and U_k = 1; when h_k > k it cannot be
+reached and the range is empty, so U_k = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .game import NormalizedParams, TurnBounds, head_thresholds, turn_bounds
-from .polynomial import ONE, X, Poly, binomial
+from .game import NormalizedParams, ParameterError, TurnBounds, turn_bounds
+from .polynomial import ONE, Poly, binomial
 
 
 class ConsistencyError(RuntimeError):
@@ -46,46 +36,29 @@ class HitTimeDistribution:
         return range(self.bounds.l, self.bounds.m + 1)
 
 
+def _tail(k: int, params: NormalizedParams) -> Poly:
+    """U_k = P(at least h_k heads in k tosses), the chance of winning within k turns."""
+    h = -((k * params.alpha - params.n) // params.beta)
+    if h <= 0:
+        return ONE
+    coeffs = [(-1) ** (i - h) * binomial(i - 1, h - 1) * binomial(k, i) for i in range(h, k + 1)]
+    return Poly([0] * h + coeffs)
+
+
 def hit_time_pmf(k: int, params: NormalizedParams) -> Poly:
     """Probability (as an exact polynomial in p) of reaching the target on turn k."""
-    i_k, i_k_star = head_thresholds(k, params)  # validates l <= k <= m
-    q = ONE - X
-    total = Poly()
-    if 0 <= i_k <= k - 1:
-        total = total + binomial(k - 1, i_k) * X ** (i_k + 1) * q ** (k - i_k - 1)
-    for j in range(max(i_k + 1, 0), min(i_k_star, k - 1) + 1):
-        total = total + binomial(k - 1, j) * X**j * q ** (k - j - 1)
-    return total
+    bounds = turn_bounds(params)
+    if not bounds.l <= k <= bounds.m:
+        raise ParameterError(f"k={k} outside the valid turn range [{bounds.l}, {bounds.m}]")
+    return _tail(k, params) - _tail(k - 1, params)
 
 
 def hit_time_distribution(params: NormalizedParams) -> HitTimeDistribution:
     """Build the pmf for every feasible turn and check that total mass is 1."""
     bounds = turn_bounds(params)
-    pmf = {k: hit_time_pmf(k, params) for k in range(bounds.l, bounds.m + 1)}
+    tails = [_tail(k, params) for k in range(bounds.l - 1, bounds.m + 1)]
+    pmf = {k: tails[i + 1] - tails[i] for i, k in enumerate(range(bounds.l, bounds.m + 1))}
     total = sum(pmf.values(), Poly())
     if total != ONE:
-        raise ConsistencyError(_mass_diagnostic(params, bounds, pmf, total))
+        raise ConsistencyError(f"win-turn masses for {params} sum to {total} instead of 1")
     return HitTimeDistribution(bounds, MappingProxyType(pmf))
-
-
-def _mass_diagnostic(
-    params: NormalizedParams,
-    bounds: TurnBounds,
-    pmf: dict[int, Poly],
-    total: Poly,
-) -> str:
-    # Threshold-clamping bugs show up as per-turn mass outside [0, 1]; point the
-    # finger at the first such k to make the failure actionable.
-    suspect = None
-    for k in range(bounds.l, bounds.m + 1):
-        for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            if not 0 <= pmf[k](p) <= 1:
-                suspect = k
-                break
-        if suspect is not None:
-            break
-    where = f"; first bad turn k={suspect}" if suspect is not None else ""
-    return (
-        f"win-turn masses for (n={params.n}, alpha={params.alpha}, beta={params.beta}) "
-        f"sum to {total} instead of 1{where} (threshold clamping bug)"
-    )

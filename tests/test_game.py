@@ -1,4 +1,4 @@
-"""Parameter validation, normalization and threshold arithmetic."""
+"""Parameter validation, normalization and turn bounds."""
 
 import math
 from fractions import Fraction
@@ -12,7 +12,6 @@ from coinrace.game import (
     GameParams,
     NormalizedParams,
     ParameterError,
-    head_thresholds,
     normalize,
     parse_rational,
     turn_bounds,
@@ -77,25 +76,6 @@ def test_turn_bounds(params, l, m):
     assert (bounds.l, bounds.m) == (l, m)
 
 
-@pytest.mark.parametrize(
-    "k,params,expected",
-    [
-        (3, (5, 1, 1), (1, 2)),
-        (3, (3, 1, 1), (-1, 0)),
-        (2, (3, 1, 10), (0, 0)),
-    ],
-)
-def test_head_thresholds(k, params, expected):
-    assert head_thresholds(k, normalize(GameParams(*params))) == expected
-
-
-def test_head_thresholds_rejects_out_of_range_turn():
-    nparams = normalize(GameParams(5, 1, 1))  # valid turns are [3, 5]
-    for k in (2, 6):
-        with pytest.raises(ParameterError):
-            head_thresholds(k, nparams)
-
-
 @given(positive_rationals, positive_rationals, positive_rationals, positive_rationals)
 def test_scaling_invariance(n, alpha, beta, c):
     base = normalize(GameParams(n, alpha, beta))
@@ -107,23 +87,6 @@ def test_scaling_invariance(n, alpha, beta, c):
 @given(st.fractions(min_value=-20, max_value=20, max_denominator=30))
 def test_ceil_shift_identity(x):
     assert ceil(x - 1) == ceil(x) - 1
-
-
-@given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 6))
-def test_lower_threshold_characterization(n, alpha, beta):
-    # i_k is the largest integer i with i*beta < n - k*alpha
-    params = normalize(GameParams(n, alpha, beta))
-    bounds = turn_bounds(params)
-    for k in range(bounds.l, bounds.m + 1):
-        i_k, _ = head_thresholds(k, params)
-        candidates = [
-            i
-            for i in range(min(i_k, 0) - 2, k + 3)
-            if i * params.beta < params.n - k * params.alpha
-        ]
-        assert candidates and i_k == max(candidates)
-        assert i_k * params.beta < params.n - k * params.alpha
-        assert (i_k + 1) * params.beta >= params.n - k * params.alpha
 
 
 @given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 6))

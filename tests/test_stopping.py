@@ -1,11 +1,11 @@
-"""Win-turn distribution: construction rules, clamping and exact identities."""
+"""Win-turn distribution: construction rules, exact identities and the oracle cross-check."""
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
+from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly
 from coinrace.stopping import hit_time_distribution, hit_time_pmf
 
@@ -28,9 +28,10 @@ def test_pmf_known_cases(k, params, expected):
     assert hit_time_pmf(k, nparams(*params)) == expected
 
 
-def test_pmf_rejects_turn_outside_support():
-    with pytest.raises(ParameterError):
-        hit_time_pmf(1, nparams(3, 1, 1))
+@pytest.mark.parametrize("k", [2, 6])  # (5, 1, 1) wins on turns [3, 5]
+def test_pmf_rejects_turn_outside_support(k):
+    with pytest.raises(ParameterError, match=r"outside the valid turn range \[3, 5\]"):
+        hit_time_pmf(k, nparams(5, 1, 1))
 
 
 def test_distribution_small_games():
@@ -83,64 +84,35 @@ def test_degree_bound():
             assert poly.degree is not None and poly.degree <= dist.bounds.m - 1
 
 
-def test_mixed_sum_lower_bound_identity():
-    # ceil((n - k*alpha)/beta) equals i_k + 1 for every feasible turn
-    from math import ceil
-
-    from coinrace.game import head_thresholds
-
-    for params in all_small_games(max_n=10, max_alpha=3, max_beta=3):
-        bounds = turn_bounds(params)
-        for k in range(bounds.l, bounds.m + 1):
-            i_k, _ = head_thresholds(k, params)
-            assert ceil(Fraction(params.n - k * params.alpha, params.beta)) == i_k + 1
-
-
-
-def binomial_tail(k, h):
-    """U(p) = P(Bin(k, p) >= h) from its closed-form monomial coefficients."""
-    if h <= 0:
-        return ONE
-    if h > k:
-        return Poly()
-    coeffs = [0] * (k + 1)
-    for i in range(h, k + 1):
-        coeffs[i] = (-1) ** (i - h) * comb(i - 1, h - 1) * comb(k, i)
-    return Poly(coeffs)
-
-
 def test_pmf_is_a_difference_of_binomial_tails():
-    # {T <= k} = {S_k >= n}, and S_k >= n iff the k tosses give at least
-    # h = ceil((n - k*alpha)/beta) heads, so f_k = U_k - U_{k-1}
-    def tail(k, params):
-        h = -(-(params.n - k * params.alpha) // params.beta)
-        return binomial_tail(k, h)
-
+    # the tail-difference construction against the independent score-state DP,
+    # on a larger grid than the acceptance criterion's n <= 10
     turns = 0
     for params in all_small_games(max_n=24, max_alpha=4, max_beta=4):
-        bounds = turn_bounds(params)
-        for k in range(bounds.l, bounds.m + 1):
-            assert hit_time_pmf(k, params) == tail(k, params) - tail(k - 1, params), (k, params)
-            turns += 1
+        dist = hit_time_distribution(params)
+        assert dict(dist.pmf) == brute_force_hit_pmf(params), params
+        turns += len(dist.pmf)
     assert turns == 1736
 
-def test_mass_defect_aborts_with_first_bad_turn(monkeypatch):
+
+def test_mass_defect_in_an_endpoint_tail_aborts(monkeypatch):
+    # the pmf telescopes to U_m - U_{l-1}, so only an endpoint tail can move the mass
     import coinrace.stopping as stopping
     from coinrace.stopping import ConsistencyError
 
-    real = stopping.hit_time_pmf
+    real = stopping._tail
 
     def corrupted(k, params):
         poly = real(k, params)
-        return poly + Poly((0, 0, 5)) if k == 2 else poly
+        return poly + Poly((0, 0, 5)) if k == turn_bounds(params).m else poly
 
-    monkeypatch.setattr(stopping, "hit_time_pmf", corrupted)
-    with pytest.raises(ConsistencyError, match=r"first bad turn k=2"):
+    monkeypatch.setattr(stopping, "_tail", corrupted)
+    with pytest.raises(ConsistencyError, match=r"sum to 1 \+ 5p\^2 instead of 1"):
         hit_time_distribution(nparams(3, 1, 1))
 
 
 def test_final_turn_needs_no_special_case():
-    # the general clamped formula must cover k = m (all-tails completion)
+    # the general tail difference must cover k = m, where h_m <= 0 and U_m = 1
     for params in all_small_games(max_n=10, max_alpha=3, max_beta=3):
         bounds = turn_bounds(params)
         pmf_m = hit_time_pmf(bounds.m, params)
