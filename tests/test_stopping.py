@@ -3,11 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
 from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly
-from coinrace.stopping import hit_time_distribution, hit_time_pmf
+from coinrace.stopping import _tail, hit_time_distribution, hit_time_pmf
 
 GRID_17 = [Fraction(i, 16) for i in range(17)]
 
@@ -32,6 +34,38 @@ def test_pmf_known_cases(k, params, expected):
 def test_pmf_rejects_turn_outside_support(k):
     with pytest.raises(ParameterError, match=r"outside the valid turn range \[3, 5\]"):
         hit_time_pmf(k, nparams(5, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "k,params,expected",
+    [
+        (1, (3, 1, 1), Poly()),  # h = 2 > k: the target is out of reach
+        (2, (3, 1, 1), Poly((0, 2, -1))),  # h = 1: at least one head
+        (3, (5, 1, 1), Poly((0, 0, 3, -2))),  # h = 2: at least two heads in three
+        (3, (3, 1, 1), ONE),  # h = 0: reached even with all tails
+    ],
+)
+def test_tail_known_cases(k, params, expected):
+    assert _tail(k, nparams(*params)) == expected
+
+
+@given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 6))
+def test_tail_threshold_characterization(n, alpha, beta):
+    # U_k starts at p^h, where h is the fewest heads with k*alpha + h*beta >= n
+    params = normalize(GameParams(n, alpha, beta))
+    bounds = turn_bounds(params)
+    assert _tail(bounds.l - 1, params) == Poly()  # no win before turn l
+    assert _tail(bounds.m, params) == ONE  # a certain win by turn m
+    for k in range(bounds.l - 1, bounds.m + 1):
+        h = next(i for i in range(k + 2) if i > k or k * params.alpha + i * params.beta >= params.n)
+        tail = _tail(k, params)
+        if h > k:
+            assert tail == Poly()
+        elif h == 0:
+            assert tail == ONE
+        else:
+            assert tail.coeffs[:h] == (0,) * h and tail.coeffs[h] != 0
+            assert tail(1) == 1 and tail(0) == 0
 
 
 def test_distribution_small_games():
@@ -82,6 +116,14 @@ def test_degree_bound():
         dist = hit_time_distribution(params)
         for poly in dist.pmf.values():
             assert poly.degree is not None and poly.degree <= dist.bounds.m - 1
+
+
+def test_pmf_agrees_with_distribution():
+    # hit_time_pmf builds its two tails on its own; it must match the distribution
+    for params in all_small_games(max_n=10, max_alpha=3, max_beta=3):
+        dist = hit_time_distribution(params)
+        for k in dist.support():
+            assert hit_time_pmf(k, params) == dist.pmf[k], (k, params)
 
 
 def test_pmf_is_a_difference_of_binomial_tails():
