@@ -8,7 +8,9 @@ the probability of winning exactly on turn k is f_k = U_k - U_{k-1}.
 U_k is built from its closed-form monomial coefficients: the coefficient of
 p^i is (-1)^(i-h) * C(i-1, h-1) * C(k, i) for i = h..k.  When h_k <= 0 the
 target is reached even with all tails and U_k = 1; when h_k > k it cannot be
-reached and the range is empty, so U_k = 0.
+reached and U_k = 0.  Both cases return early: h_k grows with n/beta, not with
+k, so padding the coefficient list out to p^h would cost memory unbounded by
+the number of turns.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ def _tail(k: int, params: NormalizedParams) -> Poly:
     h = -((k * params.alpha - params.n) // params.beta)
     if h <= 0:
         return ONE
+    if h > k:
+        return Poly()
     coeffs = [(-1) ** (i - h) * binomial(i - 1, h - 1) * binomial(k, i) for i in range(h, k + 1)]
     return Poly([0] * h + coeffs)
 

@@ -49,6 +49,15 @@ def test_tail_known_cases(k, params, expected):
     assert _tail(k, nparams(*params)) == expected
 
 
+def test_tiny_beta_ratio_stays_cheap():
+    # normalizes to (10^12, 10^12, 1): one turn always wins, and the turn-0 tail
+    # needs h = 10^12 heads, which must not become a 10^12-entry coefficient list
+    params = nparams(1, 1, Fraction(1, 10**12))
+    assert _tail(0, params) == Poly()
+    assert hit_time_pmf(1, params) == ONE
+    assert dict(hit_time_distribution(params).pmf) == {1: ONE}
+
+
 @given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 6))
 def test_tail_threshold_characterization(n, alpha, beta):
     # U_k starts at p^h, where h is the fewest heads with k*alpha + h*beta >= n
