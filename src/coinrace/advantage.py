@@ -2,31 +2,45 @@
 
 Both players' winning turns are independent with the same distribution, and
 the first mover wins ties in hit-time, so the first player wins with
-probability (1 + sum_k P(win turn = k)^2) / 2.  The squared-pmf sum is the
-tie probability; halving (1 + tie) gives the advantage.
+probability I = (1 + sum_k f_k^2) / 2, where f_k = U_k - U_(k-1) is the
+chance of winning exactly on turn k and U_k = P(Bin(k, p) >= h_k) (see
+``coinrace.stopping``).  The squared-pmf sum is the tie probability.
 
-The tie sum is computed by Kronecker substitution.  Every f_k has integer
-coefficients, so evaluating it at x = 2^b packs its coefficients into one big
-integer, one b-bit slot each.  Squaring that integer (CPython multiplies big
-integers by Karatsuba) and adding the squares gives the tie sum evaluated at
-2^b, and its coefficients come back out of the slots as long as each one fits.
-The slot width is proven from a bound on the result: coefficient j of f^2 is
-sum_i a_i a_(j-i), at most ||f||_1^2 in absolute value, so every coefficient
-of the tie sum, and every input coefficient, lies within
-B = sum_k ||f_k||_1^2.  Slots of at least B.bit_length() + 1 bits hold them
-as balanced (signed) digits.  Slots are whole bytes, so packing and unpacking
-are linear-time conversions through ``int.to_bytes``/``int.from_bytes``.
+The sum is built in the (p, q) basis, q = 1 - p: a polynomial of degree at
+most D is kept as its homogeneous coefficients c_j of p^j q^(D-j) (Bernstein
+coefficients times binomials), packed into one integer with one w-bit slot
+per j, slot j holding c_j.  In this basis:
+
+* B_k = (1 + 2^w)^k holds C(k, j) in slot j, so (p + q)^k = 1 is B_k and
+  U_k is B_k with the slots below h_k cleared;
+* multiplying by p + q = 1 raises the degree by one: ``S + (S << w)``;
+* f_k = U_k - (p + q) U_(k-1) is C(k, j) for h_k <= j < h_(k-1), C(k-1, j-1)
+  at j = h_(k-1) and 0 elsewhere (h_k <= h_(k-1), slots clamped to 0..k);
+* 2I = (p + q)^(2m) + sum_(k=l..m) f_k^2 (p + q)^(2(m-k)), accumulated by
+  Horner in (p + q)^2: ``S = S + (S << (w+1)) + (S << 2w) + f_k^2``.
+
+No slot ever carries or borrows.  Every packed value above has nonnegative
+slots (the differences making f_k are slotwise >= 0), and the slots of a
+homogeneous form of degree e sum to its value at p = q = 1, which is 2^e
+times its value at p = 1/2.  So the slots of 2I sum to 4^m * 2I(1/2) <=
+2 * 4^m, because I <= 1; every intermediate (B_k, U_k, f_k, f_k^2 <= 4^k,
+each partial S <= 4^k and each of its shifted parts) is a sum of nonnegative
+terms below that.  Slots of w = 8 * ((2m + 3) // 8 + 1) > 2m + 1 bits hold
+them, and whole-byte slots unpack in linear time through ``int.to_bytes``.
+
+The packed telescoping sum F = sum_k f_k (p + q)^(m-k) = U_m - (p + q)^(m-l+1)
+U_(l-1) must equal B_m, i.e. the win-turn masses sum to 1; it costs one add
+per turn.  The homogeneous coefficients are converted to monomials once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .game import GameParams, NormalizedParams, ParameterError, TurnBounds, normalize, parse_rational, turn_bounds
-from .polynomial import ONE, Poly
-from .stopping import ConsistencyError, hit_time_distribution
+from .polynomial import ONE, Poly, from_homogeneous
+from .stopping import ConsistencyError, heads_needed
 
 
 @dataclass(frozen=True)
@@ -35,39 +49,47 @@ class AdvantageResult:
     bounds: TurnBounds
     poly: Poly
     degenerate: bool  # True iff the advantage is identically 1 (l == m)
+    # coefficients of p^j (1-p)^(2m-j) in the advantage, j = 0..2m
+    homogeneous: tuple[int, ...]
 
 
-def _sum_of_squares(polys: Iterable[Poly]) -> Poly:
-    """sum_k f_k^2 for integer polynomials f_k, by Kronecker substitution."""
-    rows = []
-    for f in polys:
-        if not f.is_integral():
-            raise ConsistencyError(f"tie sum of a non-integer polynomial: {f!r}")
-        rows.append(f.coeffs)
-    # |coefficient of sum_k f_k^2| <= sum_k ||f_k||_1^2; one spare bit for the sign.
-    bound = sum(sum(map(abs, row)) ** 2 for row in rows)
-    width = bound.bit_length() // 8 + 1  # bytes that hold bound.bit_length() + 1 bits
-    total = 0
-    for row in rows:
-        pos = b"".join(max(c, 0).to_bytes(width, "little") for c in row)
-        neg = b"".join(max(-c, 0).to_bytes(width, "little") for c in row)
-        packed = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-        total += packed * packed
-    length = max((2 * len(row) - 1 for row in rows if row), default=0)
-    # Adding half a slot to every slot makes each digit nonnegative, so the
-    # slots read off as plain unsigned bytes with no borrows between them.
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * length, "little")
-    digits = (total + offset).to_bytes(width * length, "little")
-    return Poly(
-        int.from_bytes(digits[i : i + width], "little") - half
-        for i in range(0, len(digits), width)
-    )
+def _packed_tail(binom: int, h: int, k: int, w: int) -> int:
+    """U_k packed: the slots of binom = B_k from h = h_k up (none when h > k)."""
+    if h <= 0:
+        return binom
+    if h > k:
+        return 0
+    return binom >> (h * w) << (h * w)
+
+
+def _doubled_advantage(params: NormalizedParams, bounds: TurnBounds) -> list[int]:
+    """Homogeneous coefficients of 2I = 1 + sum_k f_k^2 in degree 2m (see the module docstring)."""
+    l, m = bounds.l, bounds.m
+    w = 8 * ((2 * m + 3) // 8 + 1)
+    binom = (1 + (1 << w)) ** (l - 1)
+    prev = _packed_tail(binom, heads_needed(l - 1, params), l - 1, w)
+    total = telescoped = 0
+    for k in range(l, m + 1):
+        binom += binom << w
+        h = heads_needed(k, params)
+        tail = _packed_tail(binom, h, k, w)
+        f = tail - (prev + (prev << w))
+        low = max(h, 0) * w  # f is zero below slot h_k: square only the slots above
+        top = f >> low
+        total += (total << (w + 1)) + (total << (2 * w)) + (top * top << (2 * low))
+        telescoped += (telescoped << w) + f
+        prev = tail
+    if telescoped != binom:
+        raise ConsistencyError(f"win-turn masses for {params} do not sum to 1")
+    total += binom * binom
+    size = w // 8
+    digits = total.to_bytes(size * (2 * m + 1), "little")
+    return [int.from_bytes(digits[i : i + size], "little") for i in range(0, len(digits), size)]
 
 
 def tie_probability(params: GameParams) -> Poly:
     """Probability both players need the same number of turns, as a polynomial."""
-    return _sum_of_squares(hit_time_distribution(normalize(params)).pmf.values())
+    return 2 * advantage_polynomial(params).poly - 1
 
 
 def advantage_polynomial(params: GameParams) -> AdvantageResult:
@@ -81,14 +103,14 @@ def advantage_polynomial(params: GameParams) -> AdvantageResult:
     nparams = normalize(params)
     bounds = turn_bounds(nparams)
     degenerate = bounds.l == bounds.m
-    dist = hit_time_distribution(nparams)
-    doubled = (_sum_of_squares(dist.pmf.values()) + 1).coeffs
-    odd = [j for j, c in enumerate(doubled) if c & 1]
+    doubled = _doubled_advantage(nparams, bounds)
+    monomial = from_homogeneous(doubled)
+    odd = [j for j, c in enumerate(monomial) if c & 1]
     if odd:
         raise ConsistencyError(
             f"advantage has a non-integer coefficient at p^{odd[0]} for {nparams}"
         )
-    poly = Poly(c >> 1 for c in doubled)
+    poly = Poly(c >> 1 for c in monomial)
     if degenerate:
         if poly != ONE:
             raise ConsistencyError(
@@ -100,7 +122,9 @@ def advantage_polynomial(params: GameParams) -> AdvantageResult:
             raise ConsistencyError(
                 f"advantage degree {poly.degree} != 2m-2 = {expected} for {nparams}"
             )
-    return AdvantageResult(nparams, bounds, poly, degenerate)
+    # Each homogeneous coefficient is sum_(i<=j) a_i C(2m-i, j-i) over the even
+    # monomial ones a_i, so it is even too and halves exactly.
+    return AdvantageResult(nparams, bounds, poly, degenerate, tuple(c >> 1 for c in doubled))
 
 
 def advantage_at(params: GameParams, p: int | Fraction) -> Fraction:

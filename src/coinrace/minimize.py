@@ -4,16 +4,26 @@ The advantage polynomial can reach degree 2m - 2 with coefficients in the
 millions, where floating-point root finding is untrustworthy, so every root
 of its derivative is located with exact integer arithmetic:
 
-1. take the squarefree part of the derivative (modular gcd certificate with
-   an exact rational-gcd fallback), so all sign changes are honest;
-2. isolate the roots in (0, 1) by recursive interval subdivision, counting
-   sign variations of the interval-transformed coefficients to certify when a
-   subinterval holds no root or exactly one (unimodality is never assumed);
+1. write I' in the (p, 1-p) basis: from the advantage's homogeneous
+   coefficients c_j of p^j (1-p)^(D-j), those of I' are
+   e_i = (i+1) c_(i+1) - (D-i) c_i, the p- minus the (1-p)-derivative;
+2. isolate its roots in (0, 1) by Bernstein subdivision.  Substituting
+   p = 1/(1+y) maps sum_i e_i p^i (1-p)^(d-i) to (1+y)^-d sum_i e_i y^(d-i),
+   so the roots in (0, 1) are the positive roots of a polynomial whose
+   coefficients are the e_i, and by Descartes' rule of signs their sign
+   variations bound the number of roots in (0, 1), counted with
+   multiplicity, with an even excess.  No Taylor shift is needed: 0
+   variations prove a node rootless, 1 proves one simple root, and otherwise
+   one de Casteljau triangle splits the node in two (unimodality is never
+   assumed).  A multiple root keeps at least two variations, so only when
+   subdivision gets deep is the squarefree part taken (modular gcd
+   certificate with an exact rational-gcd fallback) and the isolation rerun;
 3. shrink each isolated bracket to the requested width by sign-change
-   bisection at dyadic rationals, evaluated in pure integer arithmetic.
+   bisection at dyadic rationals, evaluating I' in pure integer arithmetic.
 
 Only the final reported minimizer is rounded to a float; candidate values are
-compared as exact rationals, with ties broken toward smaller p.
+exact rationals from the same integer evaluation, compared with ties broken
+toward smaller p.
 """
 
 from __future__ import annotations
@@ -22,11 +32,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from operator import add, mul
+from typing import Optional, Sequence
 
 from .advantage import AdvantageResult, advantage_at, advantage_polynomial
 from .game import GameParams, ParameterError, parse_rational
-from .polynomial import Poly
+from .polynomial import Poly, to_homogeneous
 from .stopping import ConsistencyError
 
 _ISOLATION_DEPTH_CAP = 128
@@ -81,14 +92,19 @@ def _minimize(adv: AdvantageResult, tol: float) -> MinimizationResult:
             bracket=None,
             tol=tol,
         )
-    brackets = _isolate_unit_interval_roots(adv.poly.derivative(), Fraction(tol))
+    # I' in the (p, 1-p) basis of degree 2m - 1, from I's coefficients in degree 2m
+    c = adv.homogeneous
+    d = len(c) - 1
+    slopes = [(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)]
+    brackets = _isolate(list(adv.poly.derivative().coeffs), slopes, Fraction(tol))
+    coeffs = adv.poly.coeffs
     candidates: list[tuple[Fraction, Fraction, Optional[tuple[Fraction, Fraction]]]] = [
-        (adv.poly(Fraction(0)), Fraction(0), None),
-        (adv.poly(Fraction(1)), Fraction(1), None),
+        (_value_at(coeffs, Fraction(0)), Fraction(0), None),
+        (_value_at(coeffs, Fraction(1)), Fraction(1), None),
     ]
     for lo, hi in brackets:
         point = (lo + hi) / 2
-        candidates.append((adv.poly(point), point, (lo, hi)))
+        candidates.append((_value_at(coeffs, point), point, (lo, hi)))
     best_value, best_point, best_bracket = min(candidates, key=lambda c: (c[0], c[1]))
     if best_bracket is None:
         raise ConsistencyError(
@@ -146,17 +162,24 @@ def advantage_at_asymptotic(params: GameParams) -> float:
 def _at_limit_bias(adv: AdvantageResult) -> float:
     """``advantage_at_asymptotic`` on an already built polynomial."""
     optimum = asymptotic_optimum(adv.params.alpha, adv.params.beta)
-    return float(adv.poly(Fraction(optimum.bias)))
+    return float(_value_at(adv.poly.coeffs, Fraction(optimum.bias)))
 
 
 # ---------------------------------------------------------------------------
-# Exact root isolation of an integer polynomial on (0, 1).
+# Exact root isolation of an integer polynomial on (0, 1), in the (p, 1-p) basis.
 #
-# A work item (c, a, s) is an integer coefficient list c whose roots x in
-# (0, 1) correspond to roots (a + x) / 2^s of the squarefree part; its
-# interval is (a/2^s, (a+1)/2^s).  Node polynomials never vanish at x = 0 or
-# x = 1: dyadic roots are reported exactly and divided out when discovered.
+# A work item (b, a, s) holds integer Bernstein coefficients b of the polynomial
+# restricted to (a/2^s, (a+1)/2^s), rescaled to (0, 1); b_j times C(d, j) are
+# its homogeneous coefficients, with the same signs.  Zeros at 0, at 1 and at
+# every split midpoint are stripped off as factors p or 1-p of the homogeneous
+# form, so no node polynomial vanishes at an end of its interval.
 # ---------------------------------------------------------------------------
+
+# Subdivision deeper than this first takes the squarefree part: a multiple
+# root keeps two or more sign variations at every depth.  Distinct roots need
+# depth about log2(1/separation), well under this for the advantage's
+# derivatives, so they never pay for the certificate.
+_SQUAREFREE_DEPTH = 16
 
 
 def _isolate_unit_interval_roots(
@@ -166,75 +189,148 @@ def _isolate_unit_interval_roots(
     coeffs = _integer_coeffs(dpoly)
     if len(coeffs) <= 1:
         return []
-    sf = _squarefree_part(coeffs)
-    while sf and sf[0] == 0:
-        sf = sf[1:]
-    while len(sf) > 1 and sum(sf) == 0:
-        sf = _deflate_root_at_one(sf)
-    if len(sf) <= 1:
+    return _isolate(coeffs, to_homogeneous(coeffs, len(coeffs) - 1), tol)
+
+
+def _isolate(
+    monomial: list[int], homogeneous: list[int], tol: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Brackets of the distinct roots in (0, 1) of one polynomial given in both bases.
+
+    ``homogeneous`` may have any degree at least that of ``monomial``.  The
+    squarefree part is computed only when subdivision gets deeper than
+    ``_SQUAREFREE_DEPTH``; the isolation then reruns on it.
+    """
+    brackets = _subdivide(monomial, homogeneous, tol, _SQUAREFREE_DEPTH)
+    if brackets is None:
+        sf = _squarefree_part(monomial)
+        brackets = _subdivide(sf, to_homogeneous(sf, len(sf) - 1), tol, _ISOLATION_DEPTH_CAP)
+        if brackets is None:
+            raise ConsistencyError("root isolation failed to separate roots")
+    return brackets
+
+
+def _subdivide(
+    monomial: list[int], homogeneous: list[int], tol: Fraction, max_depth: int
+) -> Optional[list[tuple[Fraction, Fraction]]]:
+    """Isolate by Bernstein subdivision; None if a node deeper than max_depth needs splitting."""
+    b = _bernstein(homogeneous)
+    if len(b) <= 1:
         return []
     out: list[tuple[Fraction, Fraction]] = []
-    stack: list[tuple[list[int], int, int]] = [(sf, 0, 0)]
+    stack: list[tuple[list[int], int, int]] = [(b, 0, 0)]
     while stack:
-        c, a, s = stack.pop()
-        if s > _ISOLATION_DEPTH_CAP:
-            raise ConsistencyError("root isolation failed to separate roots")
-        v = _sign_variations(_taylor_shift_one(list(reversed(c))))
+        b, a, s = stack.pop()
+        v = _sign_variations(b)
         if v == 0:
             continue
         if v == 1:
-            out.append(_refine_bracket(c, a, s, tol))
+            out.append(_bisect(monomial, a, s, _sign(b[0]), _sign(b[-1]), tol))
             continue
-        d = len(c) - 1
-        left = _primitive([ci << (d - i) for i, ci in enumerate(c)])
-        right = _taylor_shift_one(list(left))
+        if s >= max_depth:
+            return None
+        left, right = _split(b)
         if right[0] == 0:
             mid = Fraction(2 * a + 1, 1 << (s + 1))
             out.append((mid, mid))
-            right = right[1:]
-            left = _deflate_root_at_one(left)
+            left, right = _deflate(left), _deflate(right)
         stack.append((left, 2 * a, s + 1))
-        stack.append((_primitive(right), 2 * a + 1, s + 1))
+        stack.append((right, 2 * a + 1, s + 1))
     return sorted(out)
 
 
-def _refine_bracket(
-    c: list[int], a: int, s: int, tol: Fraction
+def _bernstein(c: list[int]) -> list[int]:
+    """Primitive integer Bernstein coefficients of homogeneous c, zero ends stripped.
+
+    Each zero end coefficient is a factor p or 1-p.  The rest are divided by
+    C(d, j) after scaling by lcm_j C(d, j) = lcm(1, ..., d+1) / (d+1).
+    """
+    lo, hi = 0, len(c)
+    while lo < hi and c[lo] == 0:
+        lo += 1
+    while hi > lo and c[hi - 1] == 0:
+        hi -= 1
+    c = c[lo:hi]
+    d = len(c) - 1
+    if d <= 0:
+        return c
+    scale = lcm(*range(1, d + 2)) // (d + 1)
+    return _primitive([x * (scale // binom) for x, binom in zip(c, _binomials(d))])
+
+
+def _deflate(b: list[int]) -> list[int]:
+    """Bernstein coefficients with the zero ends (roots at 0 or 1) divided out."""
+    return _bernstein(list(map(mul, b, _binomials(len(b) - 1))))
+
+
+def _binomials(d: int) -> list[int]:
+    """C(d, 0), ..., C(d, d)."""
+    row = [1]
+    for j in range(d):
+        row.append(row[-1] * (d - j) // (j + 1))
+    return row
+
+
+def _split(b: list[int]) -> tuple[list[int], list[int]]:
+    """Integer Bernstein coefficients of both halves, by one de Casteljau triangle.
+
+    Row r of the triangle holds sum_i C(r, i) b_(j+i), 2^r times the de
+    Casteljau row at 1/2; the halves' true coefficients are row[r][0] / 2^r
+    and row[r][-1] / 2^r, so both are scaled by 2^d.
+    """
+    d = len(b) - 1
+    row = b
+    left, right = [], []
+    for r in range(d + 1):
+        left.append(row[0] << (d - r))
+        right.append(row[-1] << (d - r))
+        row = list(map(add, row, row[1:]))
+    right.reverse()
+    return _primitive(left), _primitive(right)
+
+
+def _bisect(
+    monomial: list[int], a: int, s: int, sign_lo: int, sign_hi: int, tol: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Bisect the single root of c in (0, 1) down to width tol in game coordinates."""
-    sign_lo = _sign(c[0])
-    sign_hi = _sign(sum(c))
-    if sign_lo == 0 or sign_hi == 0 or sign_lo == sign_hi:
+    """Shrink the node (a/2^s, (a+1)/2^s) around its one simple root to width tol.
+
+    ``sign_lo`` is the polynomial's sign just right of the left end.  Midpoints
+    are dyadic and strictly inside the node, so they are never stripped roots.
+    """
+    if sign_lo * sign_hi != -1:
         raise ConsistencyError("isolated bracket must straddle a sign change")
-    lo, hi = Fraction(0), Fraction(1)
-    target = tol * (1 << s)
-    while hi - lo > target:
+    lo, hi = Fraction(a, 1 << s), Fraction(a + 1, 1 << s)
+    while hi - lo > tol:
         mid = (lo + hi) / 2
-        sm = _sign_at_dyadic(c, mid)
+        sm = _sign(_dyadic_value(monomial, mid)[0])
         if sm == 0:
-            lo = hi = mid
-            break
+            return mid, mid
         if sm == sign_lo:
             lo = mid
         else:
             hi = mid
-    scale = 1 << s
-    return (a + lo) / scale, (a + hi) / scale
+    return lo, hi
 
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at_dyadic(c: list[int], x: Fraction) -> int:
-    # x = u / 2^v; computes sign of 2^(v*d) * c(x) in pure integer arithmetic.
+def _dyadic_value(c: Sequence[int], x: Fraction) -> tuple[int, int]:
+    """(numerator, shift) with c(x) = numerator / 2^shift, for dyadic x = u / 2^v."""
     u = x.numerator
     v = x.denominator.bit_length() - 1
     d = len(c) - 1
     acc = c[-1]
     for i in range(d - 1, -1, -1):
         acc = acc * u + (c[i] << (v * (d - i)))
-    return _sign(acc)
+    return acc, v * d
+
+
+def _value_at(c: Sequence[int], x: Fraction) -> Fraction:
+    """Exact c(x) at a dyadic x (every float is one), normalized once."""
+    numerator, shift = _dyadic_value(c, x)
+    return Fraction(numerator, 1 << shift)
 
 
 def _sign_variations(c: list[int]) -> int:
@@ -247,27 +343,6 @@ def _sign_variations(c: list[int]) -> int:
         if s:
             last = s
     return count
-
-
-def _taylor_shift_one(c: list[int]) -> list[int]:
-    # In-place classic O(d^2) shift: returns coefficients of c(x + 1).
-    d = len(c) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            c[j] += c[j + 1]
-    return c
-
-
-def _deflate_root_at_one(c: list[int]) -> list[int]:
-    # Exact synthetic division by (x - 1); requires sum(c) == 0.
-    d = len(c) - 1
-    out = [0] * d
-    out[d - 1] = c[d]
-    for i in range(d - 1, 0, -1):
-        out[i - 1] = c[i] + out[i]
-    if c[0] + out[0] != 0:
-        raise ConsistencyError("deflation at 1 applied to a non-root")
-    return out
 
 
 def _integer_coeffs(poly: Poly) -> list[int]:

@@ -14,6 +14,7 @@ immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Iterable, Union
 
@@ -164,6 +165,30 @@ def binomial(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return comb(n, r)
+
+
+def to_homogeneous(coeffs: Iterable[int], degree: int) -> list[int]:
+    """Coefficients c_j of p^j (1-p)^(degree-j) for ascending monomial ``coeffs``.
+
+    Writing each p^i as p^i (p + (1-p))^(degree-i) is the classic O(degree^2)
+    Taylor shift by one of the reversed list: every pass replaces a shrinking
+    prefix with its running sums.
+    """
+    c = list(coeffs)
+    c += [0] * (degree + 1 - len(c))
+    for end in range(len(c), 1, -1):
+        c[:end] = accumulate(c[:end])
+    return c
+
+
+def from_homogeneous(c: Iterable[int]) -> list[int]:
+    """Ascending monomial coefficients of sum_j c_j p^j (1-p)^(D-j); inverts ``to_homogeneous``.
+
+    The inverse shift subtracts where ``to_homogeneous`` adds; negating the
+    odd-indexed entries before and after turns it into the same running sums.
+    """
+    alt = [x if j % 2 == 0 else -x for j, x in enumerate(c)]
+    return [x if j % 2 == 0 else -x for j, x in enumerate(to_homogeneous(alt, len(alt) - 1))]
 
 
 def _format_coeff(c: Scalar, latex: bool) -> str:

@@ -38,9 +38,14 @@ class HitTimeDistribution:
         return range(self.bounds.l, self.bounds.m + 1)
 
 
+def heads_needed(k: int, params: NormalizedParams) -> int:
+    """h_k = ceil((n - k*alpha)/beta), the fewest heads that win within k turns."""
+    return -((k * params.alpha - params.n) // params.beta)
+
+
 def _tail(k: int, params: NormalizedParams) -> Poly:
     """U_k = P(at least h_k heads in k tosses), the chance of winning within k turns."""
-    h = -((k * params.alpha - params.n) // params.beta)
+    h = heads_needed(k, params)
     if h <= 0:
         return ONE
     if h > k:

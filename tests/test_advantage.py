@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coinrace.advantage import _sum_of_squares, advantage_at, advantage_polynomial, tie_probability
-from coinrace.game import GameParams, ParameterError, normalize
+from coinrace.advantage import advantage_at, advantage_polynomial, tie_probability
+from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
 from coinrace.oracle import brute_force_hit_pmf
-from coinrace.polynomial import ONE, ZERO, Poly
+from coinrace.polynomial import ONE, Poly, from_homogeneous
 from coinrace.stopping import ConsistencyError, hit_time_distribution
 from coinrace.tables import POLYNOMIAL_TABLES
 
@@ -120,59 +120,70 @@ def test_scaling_invariance(n, alpha, beta, c):
     assert base.poly == scaled.poly
 
 
-# Integers of 1 to 300 bits with either sign, and zero.
-big_coeffs = st.integers(min_value=1, max_value=300).flatmap(
-    lambda bits: st.integers(min_value=-(1 << bits) + 1, max_value=(1 << bits) - 1)
-)
-
-
 def naive_sum_of_squares(polys):
     return sum((f * f for f in polys), Poly())
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.lists(big_coeffs, max_size=12).map(Poly), max_size=6))
-@example([])
-@example([ZERO])
-@example([ZERO, Poly((7,)), ZERO])
-@example([Poly((-(1 << 299),))])
-@example([Poly((0, 0, -3)), Poly((5, -1))])
-def test_sum_of_squares_matches_naive_products(polys):
-    assert _sum_of_squares(polys) == naive_sum_of_squares(polys)
+def test_kernel_matches_naive_sum_of_squares_of_the_pmf():
+    games = 0
+    for n in range(1, 25):
+        for alpha in range(1, 5):
+            for beta in range(1, 5):
+                g = GameParams(n, alpha, beta)
+                pmf = hit_time_distribution(normalize(g)).pmf.values()
+                assert tie_probability(g) == naive_sum_of_squares(pmf), g
+                games += 1
+    assert games == 384
 
 
-@pytest.mark.parametrize(
-    "coeffs",
-    [
-        [181],  # 181^2 = 32761 has 15 bits: a 2-byte slot with no spare bit
-        [120, 127],  # 14400 + 16129 = 30529, also 15 bits
-        [200],  # 40000 has 16 bits: the sign bit needs a third byte
-        [math.isqrt((1 << 255) - 1)],  # a 255-bit bound: 32-byte slots, no slack
-        [-(1 << 100), 3, 1 << 60],
-    ],
-)
-def test_sum_of_squares_at_the_proven_bound(coeffs):
-    # sum_k (c_k p^3)^2 = (sum_k c_k^2) p^6, and sum_k c_k^2 is exactly the bound
-    # sum_k ||f_k||_1^2 that sizes the slots.
-    polys = [Poly((0, 0, 0, c)) for c in coeffs]
-    bound = sum(c * c for c in coeffs)
-    result = _sum_of_squares(polys)
-    assert result == Poly((0,) * 6 + (bound,))
-    assert result == naive_sum_of_squares(polys)
-
-
-def test_sum_of_squares_rejects_non_integer_coefficients():
-    with pytest.raises(ConsistencyError):
-        _sum_of_squares([Poly((1, 2)), Poly((0, Fraction(1, 2)))])
+@pytest.mark.parametrize("m", [2, 3, 6, 7, 30, 31, 62, 63])
+def test_kernel_where_the_slot_width_steps_up(m):
+    # w = 8 * ((2m + 3) // 8 + 1) steps up at m = 4j - 1; just below, at
+    # m = 4j - 2, a slot has only 3 bits above the bound 2^(2m+1).
+    game = GameParams(m, 1, 1)  # alpha = 1, so m = n
+    result = advantage_polynomial(game)
+    assert result.bounds.m == m
+    pmf = hit_time_distribution(normalize(game)).pmf.values()
+    assert result.poly == Fraction(1, 2) * (naive_sum_of_squares(pmf) + 1)
+    # the slots of I hold its homogeneous coefficients and sum to 4^m I(1/2)
+    assert len(result.homogeneous) == 2 * m + 1
+    assert sum(result.homogeneous) == 4**m * result.poly(Fraction(1, 2))
+    assert Poly(from_homogeneous(result.homogeneous)) == result.poly
 
 
 def test_odd_tie_coefficient_aborts_the_halving(monkeypatch):
     import coinrace.advantage as advantage_module
 
-    # 1 + (1 + 3p - 2p^2 + 2p^3 + p^4) has the odd coefficient 3 at p^1
-    monkeypatch.setattr(advantage_module, "_sum_of_squares", lambda polys: Poly((1, 3, -2, 2, 1)))
+    real = advantage_module._doubled_advantage
+
+    def corrupted(params, bounds):
+        # one more p(1-p)^5 = p - 5p^2 + ... makes the coefficient at p^1 odd
+        slots = real(params, bounds)
+        slots[1] += 1
+        return slots
+
+    monkeypatch.setattr(advantage_module, "_doubled_advantage", corrupted)
     with pytest.raises(ConsistencyError, match=r"non-integer coefficient at p\^1 "):
         advantage_polynomial(GameParams(3, 1, 1))
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_corrupted_tail_fails_the_telescoping_check(monkeypatch, end):
+    # The pmf telescopes to U_m - U_(l-1), so only an endpoint tail can move the
+    # mass: U_m loses its q^m slot, or U_(l-1) becomes B_(l-1) instead of 0.
+    import coinrace.advantage as advantage_module
+    import coinrace.stopping as stopping
+
+    params = normalize(GameParams(7, 1, 2))
+    bounds = turn_bounds(params)
+    turn, heads = (bounds.l - 1, 0) if end == "first" else (bounds.m, 1)
+    monkeypatch.setattr(
+        advantage_module,
+        "heads_needed",
+        lambda k, p: heads if k == turn else stopping.heads_needed(k, p),
+    )
+    with pytest.raises(ConsistencyError, match="win-turn masses .* do not sum to 1"):
+        advantage_polynomial(GameParams(7, 1, 2))
 
 
 def test_advantage_matches_oracle_products_at_degree_118():

@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from math import ceil
 
 import pytest
 from hypothesis import given
@@ -82,11 +81,6 @@ def test_scaling_invariance(n, alpha, beta, c):
     scaled = normalize(GameParams(c * n, c * alpha, c * beta))
     assert base == scaled
     assert turn_bounds(base) == turn_bounds(scaled)
-
-
-@given(st.fractions(min_value=-20, max_value=20, max_denominator=30))
-def test_ceil_shift_identity(x):
-    assert ceil(x - 1) == ceil(x) - 1
 
 
 @given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 6))

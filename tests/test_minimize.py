@@ -210,6 +210,49 @@ def test_isolation_finds_planted_roots(roots):
     assert_brackets_match(roots)
 
 
+def count_squarefree_calls(monkeypatch):
+    import coinrace.minimize as minimize_module
+
+    calls = []
+    real = minimize_module._squarefree_part
+
+    def counting(c):
+        calls.append(len(c) - 1)
+        return real(c)
+
+    monkeypatch.setattr(minimize_module, "_squarefree_part", counting)
+    return calls
+
+
+@pytest.mark.parametrize("game", [(100, 1, 1), (150, 2, 3), (90, 1, 2)])
+def test_squarefree_certificate_is_skipped_when_roots_separate(monkeypatch, game):
+    calls = count_squarefree_calls(monkeypatch)
+    result = minimize_advantage(GameParams(*game))
+    assert not result.degenerate and result.bracket is not None
+    assert calls == []
+
+
+def test_squarefree_certificate_runs_for_a_multiple_root(monkeypatch):
+    calls = count_squarefree_calls(monkeypatch)
+    third, nine_tenths = Fraction(1, 3), Fraction(9, 10)
+    assert_brackets_match([third, third, third, nine_tenths])
+    assert calls == [4]
+
+
+def test_roots_at_the_ends_and_a_double_dyadic_root_are_stripped(monkeypatch):
+    # p, 1 - p and (p - 1/2)^2 come off as zero end coefficients: at the start,
+    # and on both halves of the first split; no squarefree part is needed.
+    calls = count_squarefree_calls(monkeypatch)
+    half = Fraction(1, 2)
+    poly = poly_with_roots([Fraction(0), Fraction(1), half, half, Fraction(2, 5)])
+    brackets = _isolate_unit_interval_roots(poly, Fraction(1, 10**9))
+    assert len(brackets) == 2
+    lo, hi = brackets[0]
+    assert lo <= Fraction(2, 5) <= hi and hi - lo <= Fraction(1, 10**9)
+    assert brackets[1] == (half, half)
+    assert calls == []
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_tol_must_be_finite(tol):
     with pytest.raises(ParameterError, match="finite"):

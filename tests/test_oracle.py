@@ -98,3 +98,62 @@ def test_oracle_is_independent_of_the_analytic_path():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert imported <= {"game", "polynomial", "fractions", "__future__", "annotations"}
+
+
+# --- past the cap: the oracle's score-state DP with scalars modulo a prime ----
+
+PRIME = (1 << 61) - 1  # a Mersenne prime
+
+
+def modular_tie_sum(params: NormalizedParams, r: int) -> int:
+    """sum_k f_k(r)^2 mod PRIME, replaying the oracle's DP with scalar masses."""
+    n, alpha, beta = params.n, params.alpha, params.beta
+    moves = ((alpha, (1 - r) % PRIME), (alpha + beta, r))
+    alive = {0: 1}
+    tie = 0
+    while alive:
+        step: dict[int, int] = {}
+        won = 0
+        for points, mass in alive.items():
+            for gain, weight in moves:
+                moved = mass * weight % PRIME
+                target = points + gain
+                if target >= n:
+                    won += moved
+                else:
+                    step[target] = (step.get(target, 0) + moved) % PRIME
+        tie = (tie + won * won) % PRIME
+        alive = step
+    return tie
+
+
+def mod_eval(coeffs, r: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % PRIME
+    return acc
+
+
+@pytest.mark.parametrize("game", [(700, 1, 1), (1100, 2, 3)])
+def test_advantage_past_the_oracle_cap_at_random_points(game):
+    # A wrong polynomial of degree <= 2m - 2 agrees with I at a random point
+    # modulo PRIME with probability at most (2m - 2)/PRIME (Schwartz-Zippel).
+    import random
+
+    from coinrace.advantage import advantage_polynomial
+
+    params = nparams(*game)
+    assert -(-params.n // params.alpha) > oracle_module.MAX_TURNS
+    result = advantage_polynomial(GameParams(*game))
+    d = len(result.homogeneous) - 1
+    half = pow(2, -1, PRIME)
+    rng = random.Random(f"advantage past the cap {game}")
+    for _ in range(3):
+        r = rng.randrange(2, PRIME - 1)
+        expected = (1 + modular_tie_sum(params, r)) * half % PRIME
+        assert mod_eval(result.poly.coeffs, r) == expected, (game, r)
+        q = (1 - r) % PRIME
+        homogeneous = sum(
+            c * pow(r, j, PRIME) * pow(q, d - j, PRIME) for j, c in enumerate(result.homogeneous)
+        )
+        assert homogeneous % PRIME == expected, (game, r)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinrace.polynomial import ONE, X, ZERO, Poly, binomial, render
+from coinrace.polynomial import ONE, X, ZERO, Poly, binomial, from_homogeneous, render, to_homogeneous
 
 small_polys = st.lists(st.integers(-9, 9), max_size=9).map(Poly)
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -234,3 +234,19 @@ def test_mixed_coefficients_match_fraction_model(a_list, b_list, e, x):
         assert type(value) is Fraction and value == ref_eval(ra, point)
     assert render(a) == ref_render(ra, latex=False)
     assert render(a, latex=True) == ref_render(ra, latex=True)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=12), st.integers(0, 4), small_rationals)
+def test_homogeneous_basis_round_trip(coeffs, extra, x):
+    # sum_j c_j x^j (1-x)^(D-j) is the same polynomial, for any D >= its degree
+    degree = len(coeffs) - 1 + extra
+    c = to_homogeneous(coeffs, degree)
+    assert len(c) == degree + 1
+    assert sum(cj * x**j * (1 - x) ** (degree - j) for j, cj in enumerate(c)) == Poly(coeffs)(x)
+    assert from_homogeneous(c) == coeffs + [0] * extra
+
+
+def test_homogeneous_coefficients_of_one_are_binomials():
+    assert to_homogeneous([1], 4) == [binomial(4, j) for j in range(5)]
+    assert from_homogeneous([0, 1, 0]) == [0, 1, -1]  # p(1-p) = p - p^2

@@ -2,14 +2,16 @@
 
 from fractions import Fraction
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
+from coinrace.game import GameParams, NormalizedParams, ParameterError, normalize, turn_bounds
 from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly
-from coinrace.stopping import _tail, hit_time_distribution, hit_time_pmf
+from coinrace.stopping import _tail, heads_needed, hit_time_distribution, hit_time_pmf
 
 GRID_17 = [Fraction(i, 16) for i in range(17)]
 
@@ -47,6 +49,15 @@ def test_pmf_rejects_turn_outside_support(k):
 )
 def test_tail_known_cases(k, params, expected):
     assert _tail(k, nparams(*params)) == expected
+
+
+@given(st.integers(0, 60), st.integers(1, 60), st.integers(1, 7), st.integers(1, 7))
+@example(0, 5, 1, 2)  # k = 0: h_0 = ceil(n/beta) > 0
+@example(5, 5, 1, 2)  # k*alpha = n: h = 0
+@example(9, 5, 2, 3)  # k*alpha > n: h < 0
+def test_heads_needed_is_the_ceiling(k, n, alpha, beta):
+    params = NormalizedParams(n, alpha, beta)
+    assert heads_needed(k, params) == math.ceil(Fraction(n - k * alpha, beta))
 
 
 def test_tiny_beta_ratio_stays_cheap():
