@@ -15,11 +15,12 @@ of its derivative is located with exact integer arithmetic:
    multiplicity, with an even excess.  No Taylor shift is needed: 0
    variations prove a node rootless, 1 proves one simple root, and otherwise
    one de Casteljau triangle splits the node in two (unimodality is never
-   assumed).  A multiple root keeps at least two variations, so only when
-   subdivision gets deep is the squarefree part taken (modular gcd
-   certificate with an exact rational-gcd fallback) and the isolation rerun;
-3. shrink each isolated bracket to the requested width by sign-change
-   bisection at dyadic rationals, evaluating I' in pure integer arithmetic.
+   assumed).  A node that still shows two or more variations once it is no
+   wider than the requested tolerance is kept whole as one bracket: a
+   multiple root, or roots closer than the tolerance, end there;
+3. shrink each bracket around one simple root to the requested width by
+   sign-change bisection at dyadic rationals, evaluating I' in pure integer
+   arithmetic.
 
 Only the final reported minimizer is rounded to a float; candidate values are
 exact rationals from the same integer evaluation, compared with ties broken
@@ -35,12 +36,10 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .advantage import AdvantageResult, advantage_at, advantage_polynomial
+from .advantage import AdvantageResult, advantage_polynomial
 from .game import GameParams, ParameterError, parse_rational
 from .polynomial import Poly, to_homogeneous
 from .stopping import ConsistencyError
-
-_ISOLATION_DEPTH_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class MinimizationResult:
     bias: Optional[float]  # minimizing p; None when the advantage is constant 1
     value: float
     value_exact: Fraction
-    bracket: Optional[tuple[Fraction, Fraction]]  # width <= tol, straddles the root
+    bracket: Optional[tuple[Fraction, Fraction]]  # width <= tol, holds a root of I'
     tol: float
     tie: bool = False  # another critical point attained exactly the same value
 
@@ -155,8 +154,7 @@ def advantage_at_asymptotic(params: GameParams) -> float:
     moderately large.  The float bias converts exactly to a rational, so the
     polynomial evaluation itself stays exact.
     """
-    optimum = asymptotic_optimum(params.alpha, params.beta)
-    return float(advantage_at(params, Fraction(optimum.bias)))
+    return _at_limit_bias(advantage_polynomial(params))
 
 
 def _at_limit_bias(adv: AdvantageResult) -> float:
@@ -175,18 +173,16 @@ def _at_limit_bias(adv: AdvantageResult) -> float:
 # form, so no node polynomial vanishes at an end of its interval.
 # ---------------------------------------------------------------------------
 
-# Subdivision deeper than this first takes the squarefree part: a multiple
-# root keeps two or more sign variations at every depth.  Distinct roots need
-# depth about log2(1/separation), well under this for the advantage's
-# derivatives, so they never pay for the certificate.
-_SQUAREFREE_DEPTH = 16
-
 
 def _isolate_unit_interval_roots(
     dpoly: Poly, tol: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint brackets in (0, 1), one per distinct root of dpoly, width <= tol."""
-    coeffs = _integer_coeffs(dpoly)
+    """Brackets of width <= tol covering every root in (0, 1) of an integral dpoly.
+
+    See ``_isolate``: a bracket holds one simple root unless two or more roots,
+    counted with multiplicity, lie within about tol of each other.
+    """
+    coeffs = list(dpoly.coeffs)
     if len(coeffs) <= 1:
         return []
     return _isolate(coeffs, to_homogeneous(coeffs, len(coeffs) - 1), tol)
@@ -195,25 +191,17 @@ def _isolate_unit_interval_roots(
 def _isolate(
     monomial: list[int], homogeneous: list[int], tol: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """Brackets of the distinct roots in (0, 1) of one polynomial given in both bases.
+    """Brackets of width <= tol of the roots in (0, 1) of one polynomial.
 
-    ``homogeneous`` may have any degree at least that of ``monomial``.  The
-    squarefree part is computed only when subdivision gets deeper than
-    ``_SQUAREFREE_DEPTH``; the isolation then reruns on it.
+    The polynomial is given in both bases; ``homogeneous`` may have any degree
+    at least that of ``monomial``.  Every root in (0, 1) lies in one bracket.
+    A node with one sign variation holds exactly one simple root, which is
+    bisected to width tol.  A node that still shows two or more variations at
+    width <= tol is reported whole: by the two-circle theorem (Krandick &
+    Mehlhorn, JSC 2006) at least two roots, counted with multiplicity, lie
+    near it -- a multiple root, real roots closer than tol, or a complex pair
+    within about tol of the interval.  Depth is at most ceil(log2(1/tol)).
     """
-    brackets = _subdivide(monomial, homogeneous, tol, _SQUAREFREE_DEPTH)
-    if brackets is None:
-        sf = _squarefree_part(monomial)
-        brackets = _subdivide(sf, to_homogeneous(sf, len(sf) - 1), tol, _ISOLATION_DEPTH_CAP)
-        if brackets is None:
-            raise ConsistencyError("root isolation failed to separate roots")
-    return brackets
-
-
-def _subdivide(
-    monomial: list[int], homogeneous: list[int], tol: Fraction, max_depth: int
-) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Isolate by Bernstein subdivision; None if a node deeper than max_depth needs splitting."""
     b = _bernstein(homogeneous)
     if len(b) <= 1:
         return []
@@ -227,8 +215,9 @@ def _subdivide(
         if v == 1:
             out.append(_bisect(monomial, a, s, _sign(b[0]), _sign(b[-1]), tol))
             continue
-        if s >= max_depth:
-            return None
+        if Fraction(1, 1 << s) <= tol:
+            out.append((Fraction(a, 1 << s), Fraction(a + 1, 1 << s)))
+            continue
         left, right = _split(b)
         if right[0] == 0:
             mid = Fraction(2 * a + 1, 1 << (s + 1))
@@ -345,15 +334,6 @@ def _sign_variations(c: list[int]) -> int:
     return count
 
 
-def _integer_coeffs(poly: Poly) -> list[int]:
-    if poly.is_zero():
-        return []
-    den = 1
-    for c in poly.coeffs:
-        den = lcm(den, c.denominator)
-    return [int(c * den) for c in poly.coeffs]
-
-
 def _primitive(c: list[int]) -> list[int]:
     g = 0
     for x in c:
@@ -361,91 +341,3 @@ def _primitive(c: list[int]) -> list[int]:
         if g == 1:
             return c
     return [x // g for x in c] if g > 1 else list(c)
-
-
-def _int_derivative(c: list[int]) -> list[int]:
-    return [i * x for i, x in enumerate(c)][1:]
-
-
-_CERTIFICATE_PRIMES = (2147483647, 998244353, 999999937)
-
-
-def _squarefree_part(c: list[int]) -> list[int]:
-    """Primitive polynomial with the same distinct roots as c.
-
-    A gcd with the derivative that is constant modulo any prime not dividing
-    the leading coefficients certifies squarefreeness outright; otherwise the
-    exact rational gcd is divided out.
-    """
-    d = _int_derivative(c)
-    for prime in _CERTIFICATE_PRIMES:
-        deg = _gcd_degree_mod(c, d, prime)
-        if deg == 0:
-            return _primitive(c)
-    g = _fraction_gcd(c, d)
-    if len(g) == 1:
-        return _primitive(c)
-    quotient, remainder = _fraction_divmod([Fraction(x) for x in c], g)
-    if any(r != 0 for r in remainder):
-        raise ConsistencyError("squarefree division left a remainder")
-    return _primitive(_integer_coeffs(Poly(quotient)))
-
-
-def _gcd_degree_mod(a: list[int], b: list[int], prime: int) -> Optional[int]:
-    if a[-1] % prime == 0 or b[-1] % prime == 0:
-        return None
-    fa = [x % prime for x in a]
-    fb = [x % prime for x in b]
-    while any(fb):
-        while fb and fb[-1] == 0:
-            fb.pop()
-        if not fb:
-            break
-        fa = _mod_rem(fa, fb, prime)
-        fa, fb = fb, fa
-    while fa and fa[-1] == 0:
-        fa.pop()
-    return len(fa) - 1
-
-
-def _mod_rem(a: list[int], b: list[int], prime: int) -> list[int]:
-    a = list(a)
-    inv = pow(b[-1], -1, prime)
-    db = len(b) - 1
-    for i in range(len(a) - 1, db - 1, -1):
-        factor = a[i] * inv % prime
-        if factor:
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - factor * b[j]) % prime
-    return a[:db]
-
-
-def _fraction_gcd(a_int: list[int], b_int: list[int]) -> list[Fraction]:
-    a = [Fraction(x) for x in a_int]
-    b = [Fraction(x) for x in b_int]
-    while any(c != 0 for c in b):
-        _, r = _fraction_divmod(a, b)
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-        if b:
-            lead = b[-1]
-            b = [c / lead for c in b]
-    return a
-
-
-def _fraction_divmod(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        factor = a[i] / b[-1]
-        if factor:
-            q[i - db] = factor
-            for j in range(db + 1):
-                a[i - db + j] -= factor * b[j]
-    return q, a[:db]

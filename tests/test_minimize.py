@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -157,7 +158,7 @@ def test_convergence_toward_limit_bias():
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinrace.minimize import _integer_coeffs, _isolate_unit_interval_roots
+from coinrace.minimize import _isolate_unit_interval_roots
 from coinrace.polynomial import ONE, Poly
 
 unit_roots = st.fractions(
@@ -186,7 +187,8 @@ def assert_brackets_match(roots, extra=()):
 def test_isolation_repeated_and_dyadic_roots():
     half, third, nine_tenths = Fraction(1, 2), Fraction(1, 3), Fraction(9, 10)
     assert_brackets_match([half])
-    assert_brackets_match([half, half, third])  # double root forces the exact-gcd path
+    # the dyadic double root at 1/2 comes off exactly as a zero end coefficient
+    assert_brackets_match([half, half, third])
     assert_brackets_match([third, third, third, nine_tenths])
     assert_brackets_match(
         [Fraction(4999, 10000), Fraction(1, 2), Fraction(5001, 10000)]
@@ -210,39 +212,49 @@ def test_isolation_finds_planted_roots(roots):
     assert_brackets_match(roots)
 
 
-def count_squarefree_calls(monkeypatch):
-    import coinrace.minimize as minimize_module
-
-    calls = []
-    real = minimize_module._squarefree_part
-
-    def counting(c):
-        calls.append(len(c) - 1)
-        return real(c)
-
-    monkeypatch.setattr(minimize_module, "_squarefree_part", counting)
-    return calls
+def dyadic_node(x, depth):
+    a = math.floor(x * 2**depth)
+    return Fraction(a, 2**depth), Fraction(a + 1, 2**depth)
 
 
 @pytest.mark.parametrize("game", [(100, 1, 1), (150, 2, 3), (90, 1, 2)])
-def test_squarefree_certificate_is_skipped_when_roots_separate(monkeypatch, game):
-    calls = count_squarefree_calls(monkeypatch)
+def test_real_games_bracket_only_sign_changes(monkeypatch, game):
+    # every bracket isolates one simple root of I', so no game reaches the
+    # branch that keeps a node with two or more sign variations whole
+    import coinrace.minimize as minimize_module
+
+    seen = []
+    real = minimize_module._isolate
+
+    def recording(*args):
+        brackets = real(*args)
+        seen.extend(brackets)
+        return brackets
+
+    monkeypatch.setattr(minimize_module, "_isolate", recording)
     result = minimize_advantage(GameParams(*game))
-    assert not result.degenerate and result.bracket is not None
-    assert calls == []
+    assert not result.degenerate and result.bracket in seen
+    derivative = advantage_polynomial(GameParams(*game)).poly.derivative()
+    for lo, hi in seen:
+        if lo == hi:
+            assert derivative(lo) == 0
+        else:
+            assert derivative(lo) * derivative(hi) < 0
 
 
-def test_squarefree_certificate_runs_for_a_multiple_root(monkeypatch):
-    calls = count_squarefree_calls(monkeypatch)
+def test_a_triple_root_gets_its_dyadic_node_whole():
     third, nine_tenths = Fraction(1, 3), Fraction(9, 10)
-    assert_brackets_match([third, third, third, nine_tenths])
-    assert calls == [4]
+    poly = poly_with_roots([third, third, third, nine_tenths])
+    brackets = _isolate_unit_interval_roots(poly, Fraction(1, 10**9))
+    assert brackets[0] == dyadic_node(third, 30)  # 2^-30 <= 1e-9 < 2^-29
+    lo, hi = brackets[1]
+    assert lo <= nine_tenths <= hi and hi - lo <= Fraction(1, 10**9)
+    assert len(brackets) == 2
 
 
-def test_roots_at_the_ends_and_a_double_dyadic_root_are_stripped(monkeypatch):
+def test_roots_at_the_ends_and_a_double_dyadic_root_are_stripped():
     # p, 1 - p and (p - 1/2)^2 come off as zero end coefficients: at the start,
-    # and on both halves of the first split; no squarefree part is needed.
-    calls = count_squarefree_calls(monkeypatch)
+    # and on both halves of the first split.
     half = Fraction(1, 2)
     poly = poly_with_roots([Fraction(0), Fraction(1), half, half, Fraction(2, 5)])
     brackets = _isolate_unit_interval_roots(poly, Fraction(1, 10**9))
@@ -250,7 +262,32 @@ def test_roots_at_the_ends_and_a_double_dyadic_root_are_stripped(monkeypatch):
     lo, hi = brackets[0]
     assert lo <= Fraction(2, 5) <= hi and hi - lo <= Fraction(1, 10**9)
     assert brackets[1] == (half, half)
-    assert calls == []
+
+
+@pytest.mark.parametrize("root,multiplicity", [(Fraction(1, 3), 2), (Fraction(2, 7), 3)])
+def test_multiple_root_times_a_game_derivative_ends_at_tol(root, multiplicity):
+    # a rational gcd with the derivative takes minutes at this degree; isolation must not
+    tol = Fraction(1, 10**9)
+    game_root = minimize_advantage(GameParams(100, 1, 1)).bracket
+    dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
+    product = dpoly * poly_with_roots([root] * multiplicity)
+    start = time.perf_counter()
+    brackets = _isolate_unit_interval_roots(product, tol)
+    assert time.perf_counter() - start < 10
+    assert brackets == sorted([game_root, dyadic_node(root, 30)])
+
+
+@pytest.mark.parametrize("gap,count", [(Fraction(1, 10**12), 1), (Fraction(1, 10**6), 2)])
+def test_roots_closer_than_tol_share_a_bracket(gap, count):
+    third = Fraction(1, 3)
+    tol = Fraction(1, 10**9)
+    brackets = _isolate_unit_interval_roots(poly_with_roots([third, third + gap]), tol)
+    assert len(brackets) == count
+    for root in (third, third + gap):
+        assert any(lo <= root <= hi for lo, hi in brackets)
+    assert all(hi - lo <= tol for lo, hi in brackets)
+    if count == 1:
+        assert brackets == [dyadic_node(third, 30)]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -267,7 +304,7 @@ def test_isolation_agrees_with_sympy_at_degree_near_100(game):
     dpoly = advantage_polynomial(GameParams(*game)).poly.derivative()
     tol = Fraction(1, 10**12)
     ours = _isolate_unit_interval_roots(dpoly, tol)
-    reference = sympy.Poly(list(reversed(_integer_coeffs(dpoly))), sympy.Symbol("p"))
+    reference = sympy.Poly(list(reversed(dpoly.coeffs)), sympy.Symbol("p"))
     theirs = [
         (Fraction(str(a)), Fraction(str(b)))
         for (a, b), _ in reference.intervals(eps=tol, inf=0, sup=1)
