@@ -149,7 +149,7 @@ def _cmd_pmf(args) -> Report:
     support = dist.support()
     return Report(
         {"l": dist.bounds.l, "m": dist.bounds.m,
-         "pmf": {str(k): [int(c) for c in dist.pmf[k].coeffs] for k in support}},
+         "pmf": {str(k): list(dist.pmf[k].coeffs) for k in support}},
         ["k", "polynomial"],
         lambda: [[k, render(dist.pmf[k])] for k in support],
         lambda: [f"k={k}: {render(dist.pmf[k])}" for k in support],
@@ -220,7 +220,7 @@ def _cmd_table(args) -> Report:
         return Report(
             {"table": args.which, "alpha": alpha, "beta": beta,
              "rows": [{"n": n, "degenerate": result.degenerate,
-                       "coefficients": [int(c) for c in result.poly.coeffs]} for n, result in rows]},
+                       "coefficients": list(result.poly.coeffs)} for n, result in rows]},
             ["n", "alpha", "beta", "polynomial"],
             lambda: [[n, alpha, beta, render(result.poly)] for n, result in rows],
             lambda: [f"n={n}: {render(result.poly)}" for n, result in rows],

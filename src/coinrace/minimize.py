@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -47,10 +47,11 @@ class MinimizationResult:
     """Location and value of the advantage minimum over [0, 1]."""
 
     degenerate: bool
-    bias: Optional[float]  # minimizing p; None when the advantage is constant 1
-    value: float
+    bias: Optional[float]  # bracket midpoint, within tol/2 of a critical point; None if constant 1
+    value: float  # the advantage at bias
     value_exact: Fraction
-    bracket: Optional[tuple[Fraction, Fraction]]  # width <= tol, holds a root of I'
+    # width <= tol, holds a root of I'; at tol >= 1/2 it can be all of (0, 1)
+    bracket: Optional[tuple[Fraction, Fraction]]
     tol: float
     tie: bool = False  # another critical point attained exactly the same value
 
@@ -70,6 +71,13 @@ def minimize_advantage(params: GameParams, tol: float = 1e-9) -> MinimizationRes
     Every critical point in (0, 1) is bracketed to width ``tol`` and the
     advantage is compared exactly at all bracket midpoints and both
     endpoints.  Degenerate games (advantage identically 1) short-circuit.
+
+    ``tol`` bounds the bracket width, so ``bias`` (the chosen bracket's
+    midpoint) lies within tol/2 of a critical point and ``value`` is the
+    advantage at ``bias``, not the minimum itself.  A coarse ``tol`` gives a
+    coarse answer: at tol >= 1/2 the bracket can be all of (0, 1); for
+    (15, 1, 1) at tol 1 it is, with bias 0.5 and value 0.632 against a
+    minimum of 0.617.
     """
     _check_tol(tol)
     return _minimize(advantage_polynomial(params), tol)
@@ -126,25 +134,41 @@ def asymptotic_optimum(alpha, beta) -> AsymptoticOptimum:
     """Limiting optimal bias 1 + t - sqrt(1 + t + t^2), with t = alpha/beta.
 
     Evaluated as t / (1 + t + sqrt(1 + t + t^2)), which is algebraically the
-    same but avoids the cancellation of the direct form for large t.
+    same but avoids the cancellation of the direct form for large t.  Raises
+    ParameterError when t, t^2 or the variance leaves the float range.
     """
     a, b = parse_rational(alpha), parse_rational(beta)
     if a <= 0 or b <= 0:
         raise ParameterError("alpha and beta must be > 0")
     t = a / b
-    tf = float(t)
+    try:
+        tf = float(t)
+    except OverflowError:
+        tf = math.inf
     bias = tf / (1 + tf + math.sqrt(1 + tf + tf * tf))
+    if not 0 < bias < 1:  # t is 0, t^2 is inf or t is inf (bias nan) as a float
+        raise ParameterError("t = alpha/beta is too far from 1 for the float range")
     return AsymptoticOptimum(t=t, bias=bias, variance=limiting_variance(bias, a, b))
 
 
 def limiting_variance(p: float, alpha, beta) -> float:
-    """(alpha + beta*p)^3 / (beta^2 * p * (1-p)); the scale whose minimum sets the limit bias."""
-    a, b = float(parse_rational(alpha)), float(parse_rational(beta))
+    """(alpha + beta*p)^3 / (beta^2 * p * (1-p)); the scale whose minimum sets the limit bias.
+
+    Raises ParameterError when alpha, beta or the variance leaves the float range.
+    """
+    a, b = parse_rational(alpha), parse_rational(beta)
     if a <= 0 or b <= 0:
         raise ParameterError("alpha and beta must be > 0")
     if not 0 < p < 1:
         raise ParameterError("p must be strictly inside (0, 1)")
-    return (a + b * p) ** 3 / (b * b * p * (1 - p))
+    try:
+        a, b = float(a), float(b)
+        variance = (a + b * p) ** 3 / (b * b * p * (1 - p))
+    except (OverflowError, ZeroDivisionError):
+        variance = math.inf
+    if not 0 < variance < math.inf:
+        raise ParameterError("the limiting variance is outside the float range")
+    return variance
 
 
 def advantage_at_asymptotic(params: GameParams) -> float:
@@ -229,7 +253,7 @@ def _isolate(
 
 
 def _bernstein(c: list[int]) -> list[int]:
-    """Primitive integer Bernstein coefficients of homogeneous c, zero ends stripped.
+    """Integer Bernstein coefficients of homogeneous c, zero ends stripped.
 
     Each zero end coefficient is a factor p or 1-p.  The rest are divided by
     C(d, j) after scaling by lcm_j C(d, j) = lcm(1, ..., d+1) / (d+1).
@@ -244,7 +268,7 @@ def _bernstein(c: list[int]) -> list[int]:
     if d <= 0:
         return c
     scale = lcm(*range(1, d + 2)) // (d + 1)
-    return _primitive([x * (scale // binom) for x, binom in zip(c, _binomials(d))])
+    return [x * (scale // binom) for x, binom in zip(c, _binomials(d))]
 
 
 def _deflate(b: list[int]) -> list[int]:
@@ -275,7 +299,7 @@ def _split(b: list[int]) -> tuple[list[int], list[int]]:
         right.append(row[-1] << (d - r))
         row = list(map(add, row, row[1:]))
     right.reverse()
-    return _primitive(left), _primitive(right)
+    return left, right
 
 
 def _bisect(
@@ -332,12 +356,3 @@ def _sign_variations(c: list[int]) -> int:
         if s:
             last = s
     return count
-
-
-def _primitive(c: list[int]) -> list[int]:
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-        if g == 1:
-            return c
-    return [x // g for x in c] if g > 1 else list(c)

@@ -1,14 +1,13 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over the integers.
 
-A polynomial is a dense, ascending coefficient sequence: ``Poly((1, -2, 1))``
-is ``1 - 2p + p^2``.  An integral coefficient is stored as a Python ``int``
-and any other as a :class:`fractions.Fraction`, so every operation is exact
-at arbitrary precision and the integer polynomials the library builds never
-pay for Fraction arithmetic.  ``Fraction(3) == 3`` and their hashes agree, so
-equality, hashing and rendering do not depend on which type a value came in
-as.  Trailing zero coefficients are stripped on construction; the zero
-polynomial stores no coefficients and has degree ``None``.  Instances are
-immutable and safe to share between threads.
+A polynomial is a dense, ascending sequence of Python ``int`` coefficients:
+``Poly((1, -2, 1))`` is ``1 - 2p + p^2``.  Every polynomial of the game has
+integer coefficients, so arithmetic is exact at arbitrary precision; a
+coefficient that is not an integer (a ``Fraction`` or ``float``) raises
+``TypeError``.  Evaluation at a rational point is an exact ``Fraction``.
+Trailing zero coefficients are stripped on construction; the zero polynomial
+stores no coefficients and has degree ``None``.  Instances are immutable and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -16,28 +15,24 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
+from operator import index
+from typing import Iterable
 
 
 class Poly:
-    """Immutable univariate polynomial with exact rational coefficients."""
+    """Immutable univariate polynomial with exact integer coefficients."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is int else _exact(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
-        self._coeffs: tuple[int | Fraction, ...] = tuple(cs)
+        self._coeffs: tuple[int, ...] = tuple(cs)
 
     @property
-    def coeffs(self) -> tuple[int | Fraction, ...]:
-        """Ascending coefficients with no trailing zeros (empty for zero).
-
-        Integral coefficients are ``int``; the others are ``Fraction``.
-        """
+    def coeffs(self) -> tuple[int, ...]:
+        """Ascending ``int`` coefficients with no trailing zeros (empty for zero)."""
         return self._coeffs
 
     @property
@@ -47,13 +42,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self._coeffs)
-
-    def constant_term(self) -> Scalar:
-        return self._coeffs[0] if self._coeffs else 0
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -67,7 +55,7 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __add__(self, other: Poly | Scalar) -> Poly:
+    def __add__(self, other: Poly | int) -> Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -84,23 +72,23 @@ class Poly:
     def __neg__(self) -> Poly:
         return Poly(-c for c in self._coeffs)
 
-    def __sub__(self, other: Poly | Scalar) -> Poly:
+    def __sub__(self, other: Poly | int) -> Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> Poly:
+    def __rsub__(self, other: int) -> Poly:
         return (-self) + other
 
-    def __mul__(self, other: Poly | Scalar) -> Poly:
+    def __mul__(self, other: Poly | int) -> Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return Poly()
-        out: list[Scalar] = [0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -109,20 +97,7 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> Poly:
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         """Exact value at ``x`` (Horner evaluation)."""
         acc = Fraction(0)
         for c in reversed(self._coeffs):
@@ -133,29 +108,22 @@ class Poly:
         return Poly(i * c for i, c in enumerate(self._coeffs) if i)
 
     def __repr__(self) -> str:
-        return f"Poly({tuple(self._coeffs)!r})"
+        return f"Poly({self._coeffs!r})"
 
     def __str__(self) -> str:
         return render(self)
 
 
-def _exact(c: Scalar) -> Scalar:
-    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _coerce(value: object) -> Poly:
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Poly((value,))
     return NotImplemented
 
 
 ZERO = Poly()
 ONE = Poly((1,))
-X = Poly((0, 1))
 
 
 def binomial(n: int, r: int) -> int:
@@ -191,12 +159,6 @@ def from_homogeneous(c: Iterable[int]) -> list[int]:
     return [x if j % 2 == 0 else -x for j, x in enumerate(to_homogeneous(alt, len(alt) - 1))]
 
 
-def _format_coeff(c: Scalar, latex: bool) -> str:
-    if c.denominator == 1:
-        return f"{c.numerator:,}" if latex else str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def render(poly: Poly, var: str = "p", latex: bool = False) -> str:
     """Human-readable form, ascending powers with explicit signs.
 
@@ -209,7 +171,7 @@ def render(poly: Poly, var: str = "p", latex: bool = False) -> str:
     for power, c in enumerate(poly.coeffs):
         if c == 0:
             continue
-        mag = _format_coeff(abs(c), latex)
+        mag = f"{abs(c):,}" if latex else str(abs(c))
         if power == 0:
             term = mag
         else:

@@ -78,7 +78,7 @@ def small_games(max_n=10, max_alpha=3, max_beta=3):
 def test_reconstruction_from_tie_probability():
     for g in small_games(max_n=6):
         adv = advantage_polynomial(g).poly
-        assert adv == Fraction(1, 2) * (tie_probability(g) + 1)
+        assert 2 * adv == tie_probability(g) + 1
 
 
 def test_first_mover_bound_on_grid():
@@ -92,7 +92,7 @@ def test_first_mover_bound_on_grid():
 def test_endpoint_certainty_and_constant_term():
     for g in small_games(max_n=8):
         poly = advantage_polynomial(g).poly
-        assert poly.constant_term() == 1
+        assert poly.coeffs[0] == 1
         assert poly(1) == 1
 
 
@@ -109,7 +109,7 @@ def test_degree_law_exhaustive():
 
 def test_coefficients_are_integers():
     for g in small_games(max_n=8):
-        assert advantage_polynomial(g).poly.is_integral()
+        assert all(type(c) is int for c in advantage_polynomial(g).poly.coeffs)
 
 
 @settings(deadline=None, max_examples=40)
@@ -144,7 +144,7 @@ def test_kernel_where_the_slot_width_steps_up(m):
     result = advantage_polynomial(game)
     assert result.bounds.m == m
     pmf = hit_time_distribution(normalize(game)).pmf.values()
-    assert result.poly == Fraction(1, 2) * (naive_sum_of_squares(pmf) + 1)
+    assert 2 * result.poly == naive_sum_of_squares(pmf) + 1
     # the slots of I hold its homogeneous coefficients and sum to 4^m I(1/2)
     assert len(result.homogeneous) == 2 * m + 1
     assert sum(result.homogeneous) == 4**m * result.poly(Fraction(1, 2))
@@ -190,9 +190,9 @@ def test_advantage_matches_oracle_products_at_degree_118():
     # Shares neither the analytic pmf nor the Kronecker squaring: oracle pmf,
     # plain Poly products.
     pmf = brute_force_hit_pmf(normalize(GameParams(60, 1, 1)))
-    expected = Fraction(1, 2) * (naive_sum_of_squares(pmf.values()) + 1)
-    assert expected.degree == 118
-    assert advantage_polynomial(GameParams(60, 1, 1)).poly == expected
+    doubled = naive_sum_of_squares(pmf.values()) + 1
+    assert doubled.degree == 118
+    assert 2 * advantage_polynomial(GameParams(60, 1, 1)).poly == doubled
 
 
 TABLE_GAMES = [

@@ -55,7 +55,7 @@ def test_poly_json_round_trip(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    poly = Poly(Fraction(c) for c in doc["coefficients"])
+    poly = Poly(int(c) for c in doc["coefficients"])
     assert poly(Fraction(1, 2)) == advantage_at(GameParams(7, 2, 3), Fraction(1, 2))
     assert doc["degree"] == len(doc["coefficients"]) - 1
 
@@ -99,6 +99,23 @@ def test_pstar_values(capsys):
         )
         assert code == 0
         assert abs(json.loads(out)["p_star"] - expected) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pstar", "--alpha", "1e103", "--beta", "1"],
+        ["pstar", "--alpha", "1e400", "--beta", "1"],
+        ["simulate", "--n", "5", "--alpha", "1e400", "--beta", "1", "--at-pstar", "--trials", "5"],
+        ["pstar", "--alpha", "1", "--beta", "1e200"],
+        ["pstar", "--alpha", "1e-400", "--beta", "1"],
+    ],
+)
+def test_limit_bias_outside_the_float_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
 
 
 def test_simulate_deterministic_bias(capsys):

@@ -51,6 +51,17 @@ def test_bracket_quality():
         assert Fraction(1, 2) <= result.value_exact <= 1
 
 
+def test_coarse_tol_reports_the_midpoint_of_a_wide_bracket():
+    # tol bounds the bracket, not the bias error: at tol 1 the whole of (0, 1)
+    # can be one bracket, so the bias is its midpoint and the value is taken there
+    result = minimize_advantage(GameParams(15, 1, 1), tol=1)
+    assert result.bracket == (0, 1)
+    assert result.bias == 0.5
+    assert result.value_exact == advantage_polynomial(GameParams(15, 1, 1)).poly(Fraction(1, 2))
+    assert round(result.value, 3) == 0.632
+    assert round(minimize_advantage(GameParams(15, 1, 1)).value, 3) == 0.617
+
+
 def test_exact_dyadic_critical_point():
     # the advantage 1 - p + p^2 has its derivative root exactly at 1/2
     result = minimize_advantage(GameParams(2, 1, 1))
@@ -95,6 +106,16 @@ def test_limit_bias_range_and_limits():
     assert asymptotic_optimum(10**6, 1).bias > 0.499
 
 
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(10**400, 1), (Fraction(1, 10**400), 1), (10**200, 1), (10**103, 1), (1, 10**200)],
+    ids=["t-overflow", "t-underflow", "t-squared-overflow", "variance-overflow", "variance-underflow"],
+)
+def test_outside_the_float_range_is_a_parameter_error(alpha, beta):
+    with pytest.raises(ParameterError, match="float range"):
+        asymptotic_optimum(alpha, beta)
+
+
 def test_limit_bias_depends_only_on_ratio():
     for c in (2, Fraction(3, 7), 10):
         base = asymptotic_optimum(3, 2)
@@ -105,6 +126,8 @@ def test_limit_bias_depends_only_on_ratio():
 
 def test_limiting_variance_value_and_pole():
     assert limiting_variance(0.5, 1, 1) == 13.5
+    # alpha is > 0 though it underflows to 0.0 as a float, and the variance is finite
+    assert limiting_variance(0.5, Fraction(1, 10**400), 1) == 0.5**3 / 0.25
     for p in (0.0, 1.0):
         with pytest.raises(ParameterError):
             limiting_variance(p, 1, 1)

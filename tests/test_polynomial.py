@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinrace.polynomial import ONE, X, ZERO, Poly, binomial, from_homogeneous, render, to_homogeneous
+from coinrace.polynomial import ONE, ZERO, Poly, binomial, from_homogeneous, render, to_homogeneous
 
 small_polys = st.lists(st.integers(-9, 9), max_size=9).map(Poly)
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -30,7 +30,7 @@ def test_mul_difference_of_squares():
 
 
 def test_mul_hand_expanded_square():
-    assert Poly((0, 2, -1)) ** 2 == Poly((0, 0, 4, -4, 1))
+    assert Poly((0, 2, -1)) * Poly((0, 2, -1)) == Poly((0, 0, 4, -4, 1))
 
 
 def test_mul_absorbing_zero():
@@ -86,9 +86,17 @@ def test_normalization_strips_trailing_zeros():
 
 
 def test_scalar_mixing():
-    assert 2 * X + 1 == Poly((1, 2))
-    assert Fraction(1, 2) * Poly((2, 4)) == Poly((1, 2))
-    assert 1 - X == Poly((1, -1))
+    p = Poly((0, 1))
+    assert 2 * p + 1 == Poly((1, 2))
+    assert 1 - p == Poly((1, -1))
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), 0.5, Fraction(3)])
+def test_non_integer_coefficients_raise_type_error(coeff):
+    with pytest.raises(TypeError):
+        Poly((coeff,))
+    with pytest.raises(TypeError):
+        coeff * Poly((2, 4))
 
 
 @given(small_polys, small_polys)
@@ -147,18 +155,14 @@ def test_render_latex():
     assert render(Poly((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1385)), latex=True) == "1 - 1,385p^{11}"
 
 
-# Mixed coefficient lists against a reference model that keeps every value as
-# a Fraction and implements each operation from its definition.
-mixed_coeffs = st.one_of(
-    st.integers(-50, 50),
-    st.integers(-50, 50).map(Fraction),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7),
-)
-mixed_lists = st.lists(mixed_coeffs, max_size=6)
+# Integer coefficient lists, small and multi-word, against a reference model
+# that implements each operation from its definition on plain tuples.
+int_coeffs = st.one_of(st.integers(-50, 50), st.integers(-(10**30), 10**30))
+int_lists = st.lists(int_coeffs, max_size=6)
 
 
 def ref_strip(cs):
-    cs = [Fraction(c) for c in cs]
+    cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -172,7 +176,7 @@ def ref_add(a, b):
 
 
 def ref_mul(a, b):
-    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    out = [0] * max(len(a) + len(b) - 1, 0)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
@@ -189,10 +193,7 @@ def ref_render(a, latex):
         if c == 0:
             continue
         mag = abs(c)
-        if mag.denominator != 1:
-            digits = f"{mag.numerator}/{mag.denominator}"
-        else:
-            digits = format(mag.numerator, "," if latex else "")
+        digits = format(mag, "," if latex else "")
         if power == 0:
             body = digits
         else:
@@ -209,25 +210,20 @@ def ref_render(a, latex):
 
 def assert_matches(poly, ref):
     assert poly.coeffs == ref
-    for c, r in zip(poly.coeffs, ref):
-        assert type(c) is (int if r.denominator == 1 else Fraction)
+    assert all(type(c) is int for c in poly.coeffs)
 
 
 @settings(deadline=None, max_examples=200)
-@given(mixed_lists, mixed_lists, st.integers(0, 3), small_rationals)
-def test_mixed_coefficients_match_fraction_model(a_list, b_list, e, x):
+@given(int_lists, int_lists, small_rationals)
+def test_integer_coefficients_match_reference_model(a_list, b_list, x):
     a, b = Poly(a_list), Poly(b_list)
     ra, rb = ref_strip(a_list), ref_strip(b_list)
     assert_matches(a, ra)
-    as_fractions = Poly(Fraction(c) for c in a_list)
-    assert a == as_fractions and hash(a) == hash(as_fractions)
+    rebuilt = (a + b) - b  # the same polynomial by another path
+    assert a == rebuilt and hash(a) == hash(rebuilt)
     assert_matches(a + b, ref_add(ra, rb))
     assert_matches(a - b, ref_add(ra, tuple(-c for c in rb)))
     assert_matches(a * b, ref_mul(ra, rb))
-    power = (Fraction(1),)
-    for _ in range(e):
-        power = ref_mul(power, ra)
-    assert_matches(a**e, power)
     assert_matches(a.derivative(), ref_strip(i * c for i, c in enumerate(ra) if i))
     for point in (x, 2):
         value = a(point)
