@@ -2,35 +2,33 @@
 
 Both players' winning turns are independent with the same distribution, and
 the first mover wins ties in hit-time, so the first player wins with
-probability I = (1 + sum_k f_k^2) / 2, where f_k = U_k - U_(k-1) is the
-chance of winning exactly on turn k and U_k = P(Bin(k, p) >= h_k) (see
-``coinrace.stopping``).  The squared-pmf sum is the tie probability.
+probability I = (1 + sum_k f_k^2) / 2, where f_k is the chance of winning
+exactly on turn k.  The squared-pmf sum is the tie probability.
 
 The sum is built in the (p, q) basis, q = 1 - p: a polynomial of degree at
 most D is kept as its homogeneous coefficients c_j of p^j q^(D-j) (Bernstein
 coefficients times binomials), packed into one integer with one w-bit slot
 per j, slot j holding c_j.  In this basis:
 
-* B_k = (1 + 2^w)^k holds C(k, j) in slot j, so (p + q)^k = 1 is B_k and
-  U_k is B_k with the slots below h_k cleared;
+* f_k is packed from its slots, ``coinrace.stopping.win_turn_slots``, which
+  also builds the pmf;
 * multiplying by p + q = 1 raises the degree by one: ``S + (S << w)``;
-* f_k = U_k - (p + q) U_(k-1) is C(k, j) for h_k <= j < h_(k-1), C(k-1, j-1)
-  at j = h_(k-1) and 0 elsewhere (h_k <= h_(k-1), slots clamped to 0..k);
+* B_m = (1 + 2^w)^m holds C(m, j) in slot j, so it is (p + q)^m = 1;
 * 2I = (p + q)^(2m) + sum_(k=l..m) f_k^2 (p + q)^(2(m-k)), accumulated by
   Horner in (p + q)^2: ``S = S + (S << (w+1)) + (S << 2w) + f_k^2``.
 
 No slot ever carries or borrows.  Every packed value above has nonnegative
-slots (the differences making f_k are slotwise >= 0), and the slots of a
-homogeneous form of degree e sum to its value at p = q = 1, which is 2^e
-times its value at p = 1/2.  So the slots of 2I sum to 4^m * 2I(1/2) <=
-2 * 4^m, because I <= 1; every intermediate (B_k, U_k, f_k, f_k^2 <= 4^k,
-each partial S <= 4^k and each of its shifted parts) is a sum of nonnegative
-terms below that.  Slots of w = 8 * ((2m + 3) // 8 + 1) > 2m + 1 bits hold
-them, and whole-byte slots unpack in linear time through ``int.to_bytes``.
+slots (the slots of f_k are binomials), and the slots of a homogeneous form
+of degree e sum to its value at p = q = 1, which is 2^e times its value at
+p = 1/2.  So the slots of 2I sum to 4^m * 2I(1/2) <= 2 * 4^m, because I <= 1;
+every intermediate (f_k^2 <= 4^k, B_m^2 = 4^m, each partial S <= 4^k and
+each of its shifted parts) is a sum of nonnegative terms below that.  Slots
+of w = 8 * ((2m + 3) // 8 + 1) > 2m + 1 bits hold them, and whole-byte slots
+unpack in linear time through ``int.to_bytes``.
 
-The packed telescoping sum F = sum_k f_k (p + q)^(m-k) = U_m - (p + q)^(m-l+1)
-U_(l-1) must equal B_m, i.e. the win-turn masses sum to 1; it costs one add
-per turn.  The homogeneous coefficients are converted to monomials once.
+The packed telescoping sum F = sum_k f_k (p + q)^(m-k) must equal B_m, i.e.
+the win-turn masses sum to 1; it costs one add per turn and checks every
+turn's slots.  The homogeneous coefficients are converted to monomials once.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from fractions import Fraction
 
 from .game import GameParams, NormalizedParams, ParameterError, TurnBounds, normalize, parse_rational, turn_bounds
 from .polynomial import ONE, Poly, from_homogeneous
-from .stopping import ConsistencyError, heads_needed
+from .stopping import ConsistencyError, win_turn_slots
 
 
 @dataclass(frozen=True)
@@ -53,32 +51,19 @@ class AdvantageResult:
     homogeneous: tuple[int, ...]
 
 
-def _packed_tail(binom: int, h: int, k: int, w: int) -> int:
-    """U_k packed: the slots of binom = B_k from h = h_k up (none when h > k)."""
-    if h <= 0:
-        return binom
-    if h > k:
-        return 0
-    return binom >> (h * w) << (h * w)
-
-
 def _doubled_advantage(params: NormalizedParams, bounds: TurnBounds) -> list[int]:
     """Homogeneous coefficients of 2I = 1 + sum_k f_k^2 in degree 2m (see the module docstring)."""
-    l, m = bounds.l, bounds.m
+    m = bounds.m
     w = 8 * ((2 * m + 3) // 8 + 1)
-    binom = (1 + (1 << w)) ** (l - 1)
-    prev = _packed_tail(binom, heads_needed(l - 1, params), l - 1, w)
     total = telescoped = 0
-    for k in range(l, m + 1):
-        binom += binom << w
-        h = heads_needed(k, params)
-        tail = _packed_tail(binom, h, k, w)
-        f = tail - (prev + (prev << w))
-        low = max(h, 0) * w  # f is zero below slot h_k: square only the slots above
-        top = f >> low
-        total += (total << (w + 1)) + (total << (2 * w)) + (top * top << (2 * low))
-        telescoped += (telescoped << w) + f
-        prev = tail
+    for k in range(bounds.l, m + 1):
+        j0, slots = win_turn_slots(k, params)
+        top = 0
+        for c in reversed(slots):
+            top = (top << w) + c
+        total += (total << (w + 1)) + (total << (2 * w)) + (top * top << (2 * j0 * w))
+        telescoped += (telescoped << w) + (top << (j0 * w))
+    binom = (1 + (1 << w)) ** m
     if telescoped != binom:
         raise ConsistencyError(f"win-turn masses for {params} do not sum to 1")
     total += binom * binom

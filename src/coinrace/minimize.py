@@ -38,7 +38,6 @@ from typing import Optional, Sequence
 
 from .advantage import AdvantageResult, advantage_polynomial
 from .game import GameParams, ParameterError, parse_rational
-from .polynomial import Poly, to_homogeneous
 from .stopping import ConsistencyError
 
 
@@ -196,20 +195,6 @@ def _at_limit_bias(adv: AdvantageResult) -> float:
 # every split midpoint are stripped off as factors p or 1-p of the homogeneous
 # form, so no node polynomial vanishes at an end of its interval.
 # ---------------------------------------------------------------------------
-
-
-def _isolate_unit_interval_roots(
-    dpoly: Poly, tol: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Brackets of width <= tol covering every root in (0, 1) of an integral dpoly.
-
-    See ``_isolate``: a bracket holds one simple root unless two or more roots,
-    counted with multiplicity, lie within about tol of each other.
-    """
-    coeffs = list(dpoly.coeffs)
-    if len(coeffs) <= 1:
-        return []
-    return _isolate(coeffs, to_homogeneous(coeffs, len(coeffs) - 1), tol)
 
 
 def _isolate(

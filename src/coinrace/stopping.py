@@ -2,15 +2,15 @@
 
 After k turns with i heads a player holds k*alpha + i*beta points, so the
 target is reached within k turns exactly when the k tosses give at least
-h_k = ceil((n - k*alpha)/beta) heads.  Writing U_k = P(Bin(k, p) >= h_k),
-the probability of winning exactly on turn k is f_k = U_k - U_{k-1}.
-
-U_k is built from its closed-form monomial coefficients: the coefficient of
-p^i is (-1)^(i-h) * C(i-1, h-1) * C(k, i) for i = h..k.  When h_k <= 0 the
-target is reached even with all tails and U_k = 1; when h_k > k it cannot be
-reached and U_k = 0.  Both cases return early: h_k grows with n/beta, not with
-k, so padding the coefficient list out to p^h would cost memory unbounded by
-the number of turns.
+h_k = ceil((n - k*alpha)/beta) heads, with chance U_k = P(Bin(k, p) >= h_k).
+The chance of winning exactly on turn k, f_k = U_k - U_(k-1), is stated once,
+by ``win_turn_slots``, as its coefficients c_j of p^j (1-p)^(k-j).  In that
+basis U_k holds C(k, j) for j >= h_k, and U_(k-1), times p + (1-p) to reach
+degree k, holds C(k, j) above h_(k-1) and C(k-1, h_(k-1)) at it.  So with
+h = max(h_k, 0) and g = min(max(h_(k-1), 0), k), c_j is C(k, j) for
+h <= j < g, C(k-1, g-1) at j = g (0 when g = 0) and 0 elsewhere: at most
+ceil(alpha/beta) + 1 slots, however large h_k is.  The pmf expands each slot with one alternating
+binomial row of (1-p)^(k-j); ``coinrace.advantage`` packs the same slots.
 """
 
 from __future__ import annotations
@@ -43,15 +43,26 @@ def heads_needed(k: int, params: NormalizedParams) -> int:
     return -((k * params.alpha - params.n) // params.beta)
 
 
-def _tail(k: int, params: NormalizedParams) -> Poly:
-    """U_k = P(at least h_k heads in k tosses), the chance of winning within k turns."""
-    h = heads_needed(k, params)
-    if h <= 0:
-        return ONE
-    if h > k:
-        return Poly()
-    coeffs = [(-1) ** (i - h) * binomial(i - 1, h - 1) * binomial(k, i) for i in range(h, k + 1)]
-    return Poly([0] * h + coeffs)
+def win_turn_slots(k: int, params: NormalizedParams) -> tuple[int, list[int]]:
+    """(j0, c) with f_k = sum_i c[i] p^(j0+i) (1-p)^(k-j0-i), for a turn k >= l.
+
+    Every c[i] >= 0, and c[0] > 0 on the support [l, m]; see the module docstring.
+    """
+    h = max(heads_needed(k, params), 0)
+    g = min(max(heads_needed(k - 1, params), 0), k)
+    return h, [binomial(k, j) for j in range(h, g)] + [binomial(k - 1, g - 1)]
+
+
+def _expand(k: int, params: NormalizedParams) -> Poly:
+    """Monomial coefficients of f_k: each slot times one row of (1-p)^(k-j)."""
+    j0, slots = win_turn_slots(k, params)
+    out = [0] * (k + 1)
+    for j, c in enumerate(slots, j0):
+        r = k - j
+        for t in range(r + 1):
+            out[j + t] += c
+            c = -c * (r - t) // (t + 1)  # exact: c * C(r, t+1) / C(r, t)
+    return Poly(out)
 
 
 def hit_time_pmf(k: int, params: NormalizedParams) -> Poly:
@@ -59,14 +70,13 @@ def hit_time_pmf(k: int, params: NormalizedParams) -> Poly:
     bounds = turn_bounds(params)
     if not bounds.l <= k <= bounds.m:
         raise ParameterError(f"k={k} outside the valid turn range [{bounds.l}, {bounds.m}]")
-    return _tail(k, params) - _tail(k - 1, params)
+    return _expand(k, params)
 
 
 def hit_time_distribution(params: NormalizedParams) -> HitTimeDistribution:
     """Build the pmf for every feasible turn and check that total mass is 1."""
     bounds = turn_bounds(params)
-    tails = [_tail(k, params) for k in range(bounds.l - 1, bounds.m + 1)]
-    pmf = {k: tails[i + 1] - tails[i] for i, k in enumerate(range(bounds.l, bounds.m + 1))}
+    pmf = {k: _expand(k, params) for k in range(bounds.l, bounds.m + 1)}
     total = sum(pmf.values(), Poly())
     if total != ONE:
         raise ConsistencyError(f"win-turn masses for {params} sum to {total} instead of 1")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinrace.advantage import advantage_at, advantage_polynomial, tie_probability
-from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
+from coinrace.game import GameParams, ParameterError, normalize
 from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly, from_homogeneous
 from coinrace.stopping import ConsistencyError, hit_time_distribution
@@ -165,25 +165,6 @@ def test_odd_tie_coefficient_aborts_the_halving(monkeypatch):
     monkeypatch.setattr(advantage_module, "_doubled_advantage", corrupted)
     with pytest.raises(ConsistencyError, match=r"non-integer coefficient at p\^1 "):
         advantage_polynomial(GameParams(3, 1, 1))
-
-
-@pytest.mark.parametrize("end", ["first", "last"])
-def test_corrupted_tail_fails_the_telescoping_check(monkeypatch, end):
-    # The pmf telescopes to U_m - U_(l-1), so only an endpoint tail can move the
-    # mass: U_m loses its q^m slot, or U_(l-1) becomes B_(l-1) instead of 0.
-    import coinrace.advantage as advantage_module
-    import coinrace.stopping as stopping
-
-    params = normalize(GameParams(7, 1, 2))
-    bounds = turn_bounds(params)
-    turn, heads = (bounds.l - 1, 0) if end == "first" else (bounds.m, 1)
-    monkeypatch.setattr(
-        advantage_module,
-        "heads_needed",
-        lambda k, p: heads if k == turn else stopping.heads_needed(k, p),
-    )
-    with pytest.raises(ConsistencyError, match="win-turn masses .* do not sum to 1"):
-        advantage_polynomial(GameParams(7, 1, 2))
 
 
 def test_advantage_matches_oracle_products_at_degree_118():

@@ -181,8 +181,21 @@ def test_convergence_toward_limit_bias():
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinrace.minimize import _isolate_unit_interval_roots
-from coinrace.polynomial import ONE, Poly
+from coinrace.minimize import _isolate
+from coinrace.polynomial import ONE, Poly, to_homogeneous
+
+
+def isolate_unit_interval_roots(dpoly, tol):
+    """Brackets of width <= tol covering every root in (0, 1) of an integral dpoly.
+
+    See ``coinrace.minimize._isolate``: a bracket holds one simple root unless
+    two or more roots, counted with multiplicity, lie within about tol of each
+    other.
+    """
+    coeffs = list(dpoly.coeffs)
+    if len(coeffs) <= 1:
+        return []
+    return _isolate(coeffs, to_homogeneous(coeffs, len(coeffs) - 1), tol)
 
 unit_roots = st.fractions(
     min_value=Fraction(1, 40), max_value=Fraction(39, 40), max_denominator=40
@@ -199,7 +212,7 @@ def poly_with_roots(roots):
 def assert_brackets_match(roots, extra=()):
     poly = poly_with_roots(list(roots) + list(extra))
     tol = Fraction(1, 10**9)
-    brackets = _isolate_unit_interval_roots(poly, tol)
+    brackets = isolate_unit_interval_roots(poly, tol)
     distinct = sorted(set(roots))
     assert len(brackets) == len(distinct)
     for (lo, hi), root in zip(brackets, distinct):
@@ -225,8 +238,8 @@ def test_isolation_ignores_roots_outside_the_open_interval():
 
 
 def test_isolation_of_rootless_polynomial():
-    assert _isolate_unit_interval_roots(Poly((1, 0, 1)), Fraction(1, 1000)) == []
-    assert _isolate_unit_interval_roots(Poly((5,)), Fraction(1, 1000)) == []
+    assert isolate_unit_interval_roots(Poly((1, 0, 1)), Fraction(1, 1000)) == []
+    assert isolate_unit_interval_roots(Poly((5,)), Fraction(1, 1000)) == []
 
 
 @settings(deadline=None, max_examples=60)
@@ -268,7 +281,7 @@ def test_real_games_bracket_only_sign_changes(monkeypatch, game):
 def test_a_triple_root_gets_its_dyadic_node_whole():
     third, nine_tenths = Fraction(1, 3), Fraction(9, 10)
     poly = poly_with_roots([third, third, third, nine_tenths])
-    brackets = _isolate_unit_interval_roots(poly, Fraction(1, 10**9))
+    brackets = isolate_unit_interval_roots(poly, Fraction(1, 10**9))
     assert brackets[0] == dyadic_node(third, 30)  # 2^-30 <= 1e-9 < 2^-29
     lo, hi = brackets[1]
     assert lo <= nine_tenths <= hi and hi - lo <= Fraction(1, 10**9)
@@ -280,7 +293,7 @@ def test_roots_at_the_ends_and_a_double_dyadic_root_are_stripped():
     # and on both halves of the first split.
     half = Fraction(1, 2)
     poly = poly_with_roots([Fraction(0), Fraction(1), half, half, Fraction(2, 5)])
-    brackets = _isolate_unit_interval_roots(poly, Fraction(1, 10**9))
+    brackets = isolate_unit_interval_roots(poly, Fraction(1, 10**9))
     assert len(brackets) == 2
     lo, hi = brackets[0]
     assert lo <= Fraction(2, 5) <= hi and hi - lo <= Fraction(1, 10**9)
@@ -295,7 +308,7 @@ def test_multiple_root_times_a_game_derivative_ends_at_tol(root, multiplicity):
     dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
     product = dpoly * poly_with_roots([root] * multiplicity)
     start = time.perf_counter()
-    brackets = _isolate_unit_interval_roots(product, tol)
+    brackets = isolate_unit_interval_roots(product, tol)
     assert time.perf_counter() - start < 10
     assert brackets == sorted([game_root, dyadic_node(root, 30)])
 
@@ -304,7 +317,7 @@ def test_multiple_root_times_a_game_derivative_ends_at_tol(root, multiplicity):
 def test_roots_closer_than_tol_share_a_bracket(gap, count):
     third = Fraction(1, 3)
     tol = Fraction(1, 10**9)
-    brackets = _isolate_unit_interval_roots(poly_with_roots([third, third + gap]), tol)
+    brackets = isolate_unit_interval_roots(poly_with_roots([third, third + gap]), tol)
     assert len(brackets) == count
     for root in (third, third + gap):
         assert any(lo <= root <= hi for lo, hi in brackets)
@@ -326,7 +339,7 @@ def test_isolation_agrees_with_sympy_at_degree_near_100(game):
     sympy = pytest.importorskip("sympy")
     dpoly = advantage_polynomial(GameParams(*game)).poly.derivative()
     tol = Fraction(1, 10**12)
-    ours = _isolate_unit_interval_roots(dpoly, tol)
+    ours = isolate_unit_interval_roots(dpoly, tol)
     reference = sympy.Poly(list(reversed(dpoly.coeffs)), sympy.Symbol("p"))
     theirs = [
         (Fraction(str(a)), Fraction(str(b)))
