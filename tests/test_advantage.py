@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinrace.advantage import advantage_at, advantage_polynomial, tie_probability
-from coinrace.game import GameParams, ParameterError, normalize
+from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
 from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly, from_homogeneous
 from coinrace.stopping import ConsistencyError, hit_time_distribution
@@ -165,6 +165,26 @@ def test_odd_tie_coefficient_aborts_the_halving(monkeypatch):
     monkeypatch.setattr(advantage_module, "_doubled_advantage", corrupted)
     with pytest.raises(ConsistencyError, match=r"non-integer coefficient at p\^1 "):
         advantage_polynomial(GameParams(3, 1, 1))
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_corrupted_tail_fails_the_telescoping_check(monkeypatch, end):
+    # Turn l enters the telescoping sum before any (p + q) factor and turn m
+    # after the last one; a threshold one head too high at either end moves
+    # f_k's slots up by one and must break the packed sum.
+    import coinrace.advantage as advantage_module
+    import coinrace.stopping as stopping
+
+    bounds = turn_bounds(normalize(GameParams(7, 1, 2)))
+    turn = bounds.l if end == "first" else bounds.m
+
+    def corrupted(k, params):
+        j0, slots = stopping.win_turn_slots(k, params)
+        return (j0 + 1 if k == turn else j0), slots
+
+    monkeypatch.setattr(advantage_module, "win_turn_slots", corrupted)
+    with pytest.raises(ConsistencyError, match="win-turn masses .* do not sum to 1"):
+        advantage_polynomial(GameParams(7, 1, 2))
 
 
 def test_advantage_matches_oracle_products_at_degree_118():
