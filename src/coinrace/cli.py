@@ -253,18 +253,18 @@ def _cmd_table(args) -> Report:
 
 
 def run_grid_verification(
-    max_n: int, max_alpha: int, max_beta: int, analytic=None
+    max_n: int, max_alpha: int, max_beta: int
 ) -> tuple[int, list[dict], list[dict]]:
     """Compare analytic and oracle pmfs over an integer parameter grid.
 
     Returns (checked case count, mismatch records, skipped records).  Cases
     that last longer than the oracle's turn cap are skipped, not checked.
-    ``analytic`` is injectable so the negative path is testable with a
+    The analytic pmf is looked up as ``cli.hit_time_distribution`` at each
+    call, so tests reach the negative path by patching that name with a
     corrupted builder.  An empty grid is a ParameterError, not a pass.
     """
     if min(max_n, max_alpha, max_beta) < 1:
         raise ParameterError("max-n, max-alpha and max-beta must be >= 1")
-    build = analytic if analytic is not None else hit_time_distribution
     mismatches = []
     skipped = []
     total = 0
@@ -278,7 +278,7 @@ def run_grid_verification(
                     skipped.append({"n": n, "alpha": alpha, "beta": beta})
                     continue
                 total += 1
-                got = dict(build(nparams).pmf)
+                got = dict(hit_time_distribution(nparams).pmf)
                 if got != expected:
                     bad_k = next(
                         (k for k in sorted(set(got) | set(expected)) if got.get(k) != expected.get(k)),

@@ -20,7 +20,9 @@ of its derivative is located with exact integer arithmetic:
    multiple root, or roots closer than the tolerance, end there;
 3. shrink each bracket around one simple root to the requested width by
    sign-change bisection at dyadic rationals, evaluating I' in pure integer
-   arithmetic.
+   arithmetic.  Nodes and bisection steps are integer pairs (a, s) for
+   (a/2^s, (a+1)/2^s), and the tolerance is read once as the depth s at which
+   they stop.
 
 Only the final reported minimizer is rounded to a float; candidate values are
 exact rationals from the same integer evaluation, compared with ties broken
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, mul, ne
 from typing import Optional, Sequence
 
 from .advantage import AdvantageResult, advantage_polynomial
@@ -87,6 +89,12 @@ def _check_tol(tol: float) -> None:
         raise ParameterError("tol must be finite and > 0")
 
 
+def _depth(tol: float | Fraction) -> int:
+    """The least s with 2^-s <= tol: a node (a/2^s, (a+1)/2^s) is then no wider than tol."""
+    x = Fraction(tol)
+    return (-(-x.denominator // x.numerator) - 1).bit_length()
+
+
 def _minimize(adv: AdvantageResult, tol: float) -> MinimizationResult:
     """``minimize_advantage`` on an already built polynomial; the caller checks ``tol``."""
     if adv.degenerate:
@@ -102,7 +110,7 @@ def _minimize(adv: AdvantageResult, tol: float) -> MinimizationResult:
     c = adv.homogeneous
     d = len(c) - 1
     slopes = [(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)]
-    brackets = _isolate(list(adv.poly.derivative().coeffs), slopes, Fraction(tol))
+    brackets = _isolate(list(adv.poly.derivative().coeffs), slopes, tol)
     coeffs = adv.poly.coeffs
     candidates: list[tuple[Fraction, Fraction, Optional[tuple[Fraction, Fraction]]]] = [
         (_value_at(coeffs, Fraction(0)), Fraction(0), None),
@@ -198,7 +206,7 @@ def _at_limit_bias(adv: AdvantageResult) -> float:
 
 
 def _isolate(
-    monomial: list[int], homogeneous: list[int], tol: Fraction
+    monomial: list[int], homogeneous: list[int], tol: float | Fraction
 ) -> list[tuple[Fraction, Fraction]]:
     """Brackets of width <= tol of the roots in (0, 1) of one polynomial.
 
@@ -209,11 +217,13 @@ def _isolate(
     width <= tol is reported whole: by the two-circle theorem (Krandick &
     Mehlhorn, JSC 2006) at least two roots, counted with multiplicity, lie
     near it -- a multiple root, real roots closer than tol, or a complex pair
-    within about tol of the interval.  Depth is at most ceil(log2(1/tol)).
+    within about tol of the interval.  ``tol`` is read once, as the integer
+    depth max(0, ceil(log2(1/tol))) at which nodes and bisection stop.
     """
     b = _bernstein(homogeneous)
     if len(b) <= 1:
         return []
+    depth = _depth(tol)
     out: list[tuple[Fraction, Fraction]] = []
     stack: list[tuple[list[int], int, int]] = [(b, 0, 0)]
     while stack:
@@ -222,9 +232,9 @@ def _isolate(
         if v == 0:
             continue
         if v == 1:
-            out.append(_bisect(monomial, a, s, _sign(b[0]), _sign(b[-1]), tol))
+            out.append(_bisect(monomial, a, s, b[0], b[-1], depth))
             continue
-        if Fraction(1, 1 << s) <= tol:
+        if s >= depth:
             out.append((Fraction(a, 1 << s), Fraction(a + 1, 1 << s)))
             continue
         left, right = _split(b)
@@ -288,56 +298,44 @@ def _split(b: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _bisect(
-    monomial: list[int], a: int, s: int, sign_lo: int, sign_hi: int, tol: Fraction
+    monomial: list[int], a: int, s: int, b_lo: int, b_hi: int, depth: int
 ) -> tuple[Fraction, Fraction]:
-    """Shrink the node (a/2^s, (a+1)/2^s) around its one simple root to width tol.
+    """Shrink the node (a/2^s, (a+1)/2^s) around its one simple root to width 2^-depth.
 
-    ``sign_lo`` is the polynomial's sign just right of the left end.  Midpoints
-    are dyadic and strictly inside the node, so they are never stripped roots.
+    ``b_lo`` and ``b_hi`` are the node's end Bernstein coefficients, which have
+    the polynomial's signs just inside its ends.  The node halves as (a, s) ->
+    (2a, s+1) with integer steps, tested at the midpoint (2a+1)/2^(s+1), which
+    is strictly inside the node, so it is never a stripped root; ``depth`` is
+    ``tol`` read once by ``_isolate``.  Only the returned bracket is a Fraction.
     """
-    if sign_lo * sign_hi != -1:
+    if b_lo * b_hi >= 0:
         raise ConsistencyError("isolated bracket must straddle a sign change")
-    lo, hi = Fraction(a, 1 << s), Fraction(a + 1, 1 << s)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        sm = _sign(_dyadic_value(monomial, mid)[0])
-        if sm == 0:
+    while s < depth:
+        a, s = 2 * a, s + 1
+        value = _dyadic_value(monomial, a + 1, s)
+        if not value:
+            mid = Fraction(a + 1, 1 << s)
             return mid, mid
-        if sm == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+        if (value > 0) == (b_lo > 0):
+            a += 1
+    return Fraction(a, 1 << s), Fraction(a + 1, 1 << s)
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _dyadic_value(c: Sequence[int], x: Fraction) -> tuple[int, int]:
-    """(numerator, shift) with c(x) = numerator / 2^shift, for dyadic x = u / 2^v."""
-    u = x.numerator
-    v = x.denominator.bit_length() - 1
+def _dyadic_value(c: Sequence[int], u: int, v: int) -> int:
+    """The integer c(u / 2^v) * 2^(v*d), d = len(c) - 1, by Horner's rule."""
     d = len(c) - 1
     acc = c[-1]
     for i in range(d - 1, -1, -1):
         acc = acc * u + (c[i] << (v * (d - i)))
-    return acc, v * d
+    return acc
 
 
 def _value_at(c: Sequence[int], x: Fraction) -> Fraction:
     """Exact c(x) at a dyadic x (every float is one), normalized once."""
-    numerator, shift = _dyadic_value(c, x)
-    return Fraction(numerator, 1 << shift)
+    v = x.denominator.bit_length() - 1
+    return Fraction(_dyadic_value(c, x.numerator, v), 1 << (v * (len(c) - 1)))
 
 
 def _sign_variations(c: list[int]) -> int:
-    count = 0
-    last = 0
-    for x in c:
-        s = _sign(x)
-        if s and last and s != last:
-            count += 1
-        if s:
-            last = s
-    return count
+    signs = [x > 0 for x in c if x]
+    return sum(map(ne, signs, signs[1:]))

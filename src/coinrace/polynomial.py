@@ -159,7 +159,7 @@ def from_homogeneous(c: Iterable[int]) -> list[int]:
     return [x if j % 2 == 0 else -x for j, x in enumerate(to_homogeneous(alt, len(alt) - 1))]
 
 
-def render(poly: Poly, var: str = "p", latex: bool = False) -> str:
+def render(poly: Poly, latex: bool = False) -> str:
     """Human-readable form, ascending powers with explicit signs.
 
     ``render(Poly((1, -2, 5, -4, 1)))`` gives ``"1 - 2p + 5p^2 - 4p^3 + p^4"``.
@@ -177,11 +177,11 @@ def render(poly: Poly, var: str = "p", latex: bool = False) -> str:
         else:
             head = "" if abs(c) == 1 else mag
             if power == 1:
-                term = f"{head}{var}"
+                term = f"{head}p"
             elif latex:
-                term = f"{head}{var}^{{{power}}}"
+                term = f"{head}p^{{{power}}}"
             else:
-                term = f"{head}{var}^{power}"
+                term = f"{head}p^{power}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:

@@ -62,6 +62,21 @@ def test_coarse_tol_reports_the_midpoint_of_a_wide_bracket():
     assert round(minimize_advantage(GameParams(15, 1, 1)).value, 3) == 0.617
 
 
+@pytest.mark.parametrize(
+    "game,tol,width",
+    [
+        ((15, 1, 1), 2.0**-20, Fraction(1, 2**20)),  # 2^-20 itself is wide enough
+        ((15, 1, 1), 2.0**-20 * (1 - 2.0**-53), Fraction(1, 2**21)),  # one ulp below it is not
+        ((5, 1, 1), 5e-324, Fraction(1, 2**1074)),  # the least positive float
+        ((5, 1, 1), 1e308, Fraction(1)),  # any tol >= 1 keeps (0, 1) whole
+        ((5, 1, 1), 0.75, Fraction(1, 2)),
+    ],
+)
+def test_bracket_width_is_the_largest_power_of_two_within_tol(game, tol, width):
+    lo, hi = minimize_advantage(GameParams(*game), tol=tol).bracket
+    assert hi - lo == width
+
+
 def test_exact_dyadic_critical_point():
     # the advantage 1 - p + p^2 has its derivative root exactly at 1/2
     result = minimize_advantage(GameParams(2, 1, 1))
@@ -174,6 +189,33 @@ def test_convergence_toward_limit_bias():
     gap_50 = abs(minimize_advantage(GameParams(50, 1, 1)).bias - limit)
     assert gap_50 < gap_10
     assert gap_50 < 0.05
+
+
+FLOOR_GAMES = [
+    (n, alpha, beta) for n in range(1, 25) for alpha in range(1, 5) for beta in range(1, 5)
+] + [(100, 1, 1), (150, 2, 3), (90, 1, 2)]
+
+
+def test_no_grid_point_falls_below_the_minimum():
+    # Every homogeneous coefficient c_j of I is >= 0, so the float sum of
+    # c_j p^j (1-p)^(D-j) has no cancellation and is within a few ulps of I(p).
+    # It shares no code with isolation, so a minimizer that misses the deepest
+    # basin reports a value_exact that some grid point undercuts.
+    checked = 0
+    for game in FLOOR_GAMES:
+        adv = advantage_polynomial(GameParams(*game))
+        if adv.degenerate:
+            continue
+        checked += 1
+        c = [float(x) for x in adv.homogeneous]
+        d = len(c) - 1
+        floor = math.inf
+        for i in range(257):
+            p = i / 256
+            floor = min(floor, math.fsum(x * p**j * (1 - p) ** (d - j) for j, x in enumerate(c)))
+        minimum = minimize_advantage(GameParams(*game)).value_exact
+        assert floor >= minimum - (d + 2) * 2.0**-50, game
+    assert checked == 333
 
 
 # --- root isolation machinery, checked against planted roots -----------------
