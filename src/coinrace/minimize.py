@@ -2,7 +2,8 @@
 
 The advantage polynomial can reach degree 2m - 2 with coefficients in the
 millions, where floating-point root finding is untrustworthy, so every root
-of its derivative is located with exact integer arithmetic:
+of its derivative is located by exact decisions: a sign is read in low
+precision only where an error bound certifies it, and in integers otherwise.
 
 1. write I' in the (p, 1-p) basis: from the advantage's homogeneous
    coefficients c_j of p^j (1-p)^(D-j), those of I' are
@@ -17,12 +18,16 @@ of its derivative is located with exact integer arithmetic:
    one de Casteljau triangle splits the node in two (unimodality is never
    assumed).  A node that still shows two or more variations once it is no
    wider than the requested tolerance is kept whole as one bracket: a
-   multiple root, or roots closer than the tolerance, end there;
+   multiple root, or roots closer than the tolerance, end there.  Splits run
+   on coefficients floor-truncated to 96 bits with an exact error bound
+   (Rouillier & Zimmermann, J. Comput. Appl. Math. 162, 2004; Eigenwillig et
+   al., CASC 2005), and a node whose bound leaves a sign open is redone exactly;
 3. shrink each bracket around one simple root to the requested width by
-   sign-change bisection at dyadic rationals, evaluating I' in pure integer
-   arithmetic.  Nodes and bisection steps are integer pairs (a, s) for
-   (a/2^s, (a+1)/2^s), and the tolerance is read once as the depth s at which
-   they stop.
+   sign-change bisection at dyadic rationals.  Down to width 2^-52 float signs
+   of I' guess the cell, and two exact integer evaluations check it; past
+   2^-52, or when the check fails, bisection is exact.  Nodes and bisection
+   steps are integer pairs (a, s) for (a/2^s, (a+1)/2^s), and the tolerance is
+   read once as the depth s at which they stop.
 
 Only the final reported minimizer is rounded to a float; candidate values are
 exact rationals from the same integer evaluation, compared with ties broken
@@ -195,14 +200,19 @@ def _at_limit_bias(adv: AdvantageResult) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact root isolation of an integer polynomial on (0, 1), in the (p, 1-p) basis.
+# Root isolation of an integer polynomial on (0, 1), in the (p, 1-p) basis.
 #
-# A work item (b, a, s) holds integer Bernstein coefficients b of the polynomial
-# restricted to (a/2^s, (a+1)/2^s), rescaled to (0, 1); b_j times C(d, j) are
-# its homogeneous coefficients, with the same signs.  Zeros at 0, at 1 and at
-# every split midpoint are stripped off as factors p or 1-p of the homogeneous
-# form, so no node polynomial vanishes at an end of its interval.
+# A work item (x, err, a, s, anc) holds the Bernstein coefficients of the
+# polynomial on (a/2^s, (a+1)/2^s), rescaled to (0, 1): up to a positive factor
+# they are x_j + eps_j with 0 <= eps_j < err, exact when err = 0.  anc = (b, a0,
+# s0) is the nearest exact ancestor.  Zeros at 0 and 1 are stripped off at the
+# start, and a zero at a split midpoint by both children, as factors p or 1-p,
+# so no node is split or bisected while it vanishes at an end of its interval.
 # ---------------------------------------------------------------------------
+
+_BITS = 96  # a split's inputs are floor-truncated to this many bits
+_FLOAT_LEVEL = 52  # (a + 1)/2^s is exact in a float for every a < 2^s when s <= 52
+_Guide = tuple[tuple[float, list[tuple[float, float]]], ...]  # see _floats
 
 
 def _isolate(
@@ -219,31 +229,45 @@ def _isolate(
     near it -- a multiple root, real roots closer than tol, or a complex pair
     within about tol of the interval.  ``tol`` is read once, as the integer
     depth max(0, ceil(log2(1/tol))) at which nodes and bisection stop.
+
+    Splits run on coefficients truncated to ``_BITS`` bits (see ``_split``).  A
+    node whose bound leaves a sign open, a zero included, is rebuilt exactly,
+    so every decision, and so every bracket, is the exact one.
     """
     b = _bernstein(homogeneous)
     if len(b) <= 1:
         return []
     depth = _depth(tol)
+    guide = _floats(b)
     out: list[tuple[Fraction, Fraction]] = []
-    stack: list[tuple[list[int], int, int]] = [(b, 0, 0)]
+    stack: list[tuple[list[int], int, int, int, Optional[tuple[list[int], int, int]]]] = [
+        (b, 0, 0, 0, None)
+    ]
     while stack:
-        b, a, s = stack.pop()
-        v = _sign_variations(b)
+        x, err, a, s, anc = stack.pop()
+        if not _certain(x, err):
+            x, err = _replay(anc, a, s), 0
+        if not (x[0] and x[-1]):  # a root at the midpoint this node was cut at
+            if not x[0]:  # the right child reports it, the left one only deflates
+                mid = Fraction(a, 1 << s)
+                out.append((mid, mid))
+            x = _deflate(x)
+        v = _sign_variations(x)
         if v == 0:
             continue
         if v == 1:
-            out.append(_bisect(monomial, a, s, b[0], b[-1], depth))
+            out.append(_bisect(monomial, guide, a, s, x[0], x[-1], depth))
             continue
         if s >= depth:
             out.append((Fraction(a, 1 << s), Fraction(a + 1, 1 << s)))
             continue
-        left, right = _split(b)
-        if right[0] == 0:
-            mid = Fraction(2 * a + 1, 1 << (s + 1))
-            out.append((mid, mid))
-            left, right = _deflate(left), _deflate(right)
-        stack.append((left, 2 * a, s + 1))
-        stack.append((right, 2 * a + 1, s + 1))
+        if not err:
+            anc = (x, a, s)
+        x, err = _truncate(x, err)
+        left, right = _split(x)
+        err <<= len(x) - 1
+        stack.append((left, err, 2 * a, s + 1, anc))
+        stack.append((right, err, 2 * a + 1, s + 1, anc))
     return sorted(out)
 
 
@@ -279,12 +303,27 @@ def _binomials(d: int) -> list[int]:
     return row
 
 
+def _certain(x: list[int], err: int) -> bool:
+    """Whether every x_j + [0, err) has one sign: err = 0, x_j > 0 or x_j + err <= 0."""
+    return not err or all(v > 0 or v + err <= 0 for v in x)
+
+
+def _truncate(x: list[int], err: int) -> tuple[list[int], int]:
+    """x floored by 2^k to ``_BITS`` bits, with the bound 1 + ceil(err / 2^k) it then has."""
+    k = max(max(x), -min(x)).bit_length() - _BITS
+    if k <= 0:
+        return x, err
+    return [v >> k for v in x], 1 + (-(-err >> k))
+
+
 def _split(b: list[int]) -> tuple[list[int], list[int]]:
     """Integer Bernstein coefficients of both halves, by one de Casteljau triangle.
 
     Row r of the triangle holds sum_i C(r, i) b_(j+i), 2^r times the de
     Casteljau row at 1/2; the halves' true coefficients are row[r][0] / 2^r
-    and row[r][-1] / 2^r, so both are scaled by 2^d.
+    and row[r][-1] / 2^r, so both are scaled by 2^d.  If each b_j is short of
+    its true value by less than err, row r is short by less than 2^r err, so
+    every output is short by less than 2^d err.
     """
     d = len(b) - 1
     row = b
@@ -297,28 +336,88 @@ def _split(b: list[int]) -> tuple[list[int], list[int]]:
     return left, right
 
 
+def _replay(anc: Optional[tuple[list[int], int, int]], a: int, s: int) -> list[int]:
+    """Exact coefficients of node (a, s), by exact splits down from its exact ancestor."""
+    b, a0, s0 = anc
+    for level in range(s - s0 - 1, -1, -1):
+        left, right = _split(b)
+        b = right if a >> level & 1 else left
+    return b
+
+
 def _bisect(
-    monomial: list[int], a: int, s: int, b_lo: int, b_hi: int, depth: int
+    monomial: list[int], guide: _Guide, a: int, s: int, b_lo: int, b_hi: int, depth: int
 ) -> tuple[Fraction, Fraction]:
     """Shrink the node (a/2^s, (a+1)/2^s) around its one simple root to width 2^-depth.
 
-    ``b_lo`` and ``b_hi`` are the node's end Bernstein coefficients, which have
-    the polynomial's signs just inside its ends.  The node halves as (a, s) ->
-    (2a, s+1) with integer steps, tested at the midpoint (2a+1)/2^(s+1), which
-    is strictly inside the node, so it is never a stripped root; ``depth`` is
-    ``tol`` read once by ``_isolate``.  Only the returned bracket is a Fraction.
+    ``b_lo`` and ``b_hi`` have the polynomial's signs just inside the node's
+    ends.  The node halves as (a, s) -> (2a, s+1), tested at the midpoint
+    (2a+1)/2^(s+1), never a stripped root.  Down to level min(depth, 52) float
+    signs guess the cell, and only its two ends are evaluated exactly.  With one
+    root in the node, a straddle means exact halving reaches that cell too, and
+    a zero end is where it stops; otherwise the node is halved exactly from the
+    start.  Only the returned bracket is a Fraction.
     """
     if b_lo * b_hi >= 0:
         raise ConsistencyError("isolated bracket must straddle a sign change")
+    left_positive = b_lo > 0
+    level = min(depth, _FLOAT_LEVEL)
+    if s < level:
+        g = _guess_cell(guide, a, s, level, left_positive)
+        shift = level - s
+        lo = b_lo if g == a << shift else _dyadic_value(monomial, g, level)
+        hi = b_hi if g + 1 == (a + 1) << shift else _dyadic_value(monomial, g + 1, level)
+        if not (lo and hi):
+            x = Fraction(g if hi else g + 1, 1 << level)
+            return x, x
+        if (lo > 0) != (hi > 0):
+            a, s = g, level
     while s < depth:
         a, s = 2 * a, s + 1
         value = _dyadic_value(monomial, a + 1, s)
         if not value:
             mid = Fraction(a + 1, 1 << s)
             return mid, mid
-        if (value > 0) == (b_lo > 0):
+        if (value > 0) == left_positive:
             a += 1
     return Fraction(a, 1 << s), Fraction(a + 1, 1 << s)
+
+
+def _guess_cell(guide: _Guide, a: int, s: int, level: int, left_positive: bool) -> int:
+    """The cell (g, level) of node (a, s) that halving on float signs ends in, a guess."""
+    while s < level:
+        a, s = 2 * a, s + 1
+        if (_float_value(guide, (a + 1) / (1 << s)) > 0) == left_positive:
+            a += 1
+    return a
+
+
+def _floats(b: list[int]) -> _Guide:
+    """Horner steps from each end for Bernstein b, divided once by 2^k to below 1.
+
+    b spans ~30 bits at (2000,1,1); the homogeneous b_j C(d, j) span ~d bits,
+    past the float range there.
+    """
+    k = max(map(abs, b)).bit_length()
+    f = [x / (1 << k) for x in b]
+    d = len(f) - 1
+    ratios = [(d - i) / (i + 1) for i in range(d - 1, -1, -1)]
+    return (f[-1], list(zip(ratios, f[-2::-1]))), (f[0], list(zip(ratios, f[1:])))
+
+
+def _float_value(guide: _Guide, x: float) -> float:
+    """sum_j b_j C(d, j) t^j, t = x/(1-x) <= 1, or in (1-x)/x with b reversed above 1/2.
+
+    Horner's rule carries C(d, j) as ratios (d-i)/(i+1).  The sum overflows only
+    once it dwarfs every b_j, so an infinity keeps the sign.
+    """
+    if x <= 0.5:
+        (acc, steps), t = guide[0], x / (1 - x)
+    else:
+        (acc, steps), t = guide[1], (1 - x) / x
+    for ratio, c in steps:
+        acc = acc * t * ratio + c
+    return acc
 
 
 def _dyadic_value(c: Sequence[int], u: int, v: int) -> int:

@@ -368,6 +368,145 @@ def test_roots_closer_than_tol_share_a_bracket(gap, count):
         assert brackets == [dyadic_node(third, 30)]
 
 
+# --- low-precision decisions, each certified exactly --------------------------
+
+import coinrace.minimize as minimize_module
+
+
+def point_the_guide_the_wrong_way(monkeypatch):
+    # every float sign flips, so each guided cell misses the root
+    real = minimize_module._float_value
+    monkeypatch.setattr(minimize_module, "_float_value", lambda e, x: -real(e, x))
+
+
+def leave_every_truncated_sign_open(monkeypatch):
+    monkeypatch.setattr(minimize_module, "_certain", lambda x, err: not err)
+
+
+def record_calls(monkeypatch, name):
+    calls = []
+    real = getattr(minimize_module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(minimize_module, name, recording)
+    return calls
+
+
+def fallback_results():
+    """Real games, and the planted, dyadic and multiple roots of the tests above."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    tol = Fraction(1, 10**9)
+    games = [(100, 1, 1), (150, 2, 3), (90, 1, 2), (2, 1, 1)]
+    results = [minimize_advantage(GameParams(*game)) for game in games]
+    planted = [
+        [half, half, third],
+        [third, third, third, Fraction(9, 10)],
+        [Fraction(4999, 10000), half, Fraction(5001, 10000)],
+        [Fraction(0), Fraction(1), half, half, Fraction(2, 5)],
+        [third, third + Fraction(1, 10**12)],
+        [Fraction(1, 40), Fraction(17, 40), Fraction(3, 4), Fraction(39, 40)],
+    ]
+    results += [isolate_unit_interval_roots(poly_with_roots(roots), tol) for roots in planted]
+    dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
+    results.append(isolate_unit_interval_roots(dpoly * poly_with_roots([third] * 2), tol))
+    results.append(isolate_unit_interval_roots(dpoly * poly_with_roots([Fraction(3, 8)]), tol))
+    return results
+
+
+@pytest.mark.parametrize(
+    "force,fallback",
+    [
+        (point_the_guide_the_wrong_way, "_dyadic_value"),
+        (leave_every_truncated_sign_open, "_replay"),
+    ],
+    ids=["wrong-guide", "open-signs"],
+)
+def test_exact_fallbacks_give_the_same_results(monkeypatch, force, fallback):
+    calls = record_calls(monkeypatch, fallback)
+    expected = fallback_results()
+    fast = len(calls)
+    calls.clear()
+    force(monkeypatch)
+    assert fallback_results() == expected
+    assert len(calls) > fast  # the exact fallback did the work
+
+
+def test_a_midpoint_root_among_truncated_coefficients_is_settled_exactly(monkeypatch):
+    # the node (1/4, 1/2) holds the game's root near 0.27 and 3/8, so it is cut
+    # at 3/8; its children's 96-bit coefficients cannot tell that zero's sign
+    tol = Fraction(1, 10**9)
+    dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
+    root = Fraction(3, 8)
+    replays = record_calls(monkeypatch, "_replay")
+    brackets = isolate_unit_interval_roots(dpoly * poly_with_roots([root]), tol)
+    assert brackets == sorted(isolate_unit_interval_roots(dpoly, tol) + [(root, root)])
+    assert sorted((a, s) for _, a, s in replays) == [(2, 3), (3, 3)]  # both halves of (1/4, 1/2)
+
+
+SMALL_GAMES = [
+    (n, alpha, beta) for n in range(1, 25) for alpha in range(1, 4) for beta in range(1, 4)
+]
+
+
+def test_certified_path_equals_the_exact_one(monkeypatch):
+    # at 5e-324 every bisection runs 1074 levels in big integers, ~35 s over all
+    # of these games, so that tolerance covers n <= 8 only
+    advs = {game: advantage_polynomial(GameParams(*game)) for game in SMALL_GAMES}
+    cases = [
+        (advs[game], tol)
+        for game in SMALL_GAMES
+        for tol in (1e-3, 1e-9, 2.0**-52, 5e-324)
+        if tol > 5e-324 or game[0] <= 8
+    ]
+    certified = [minimize_module._minimize(adv, tol) for adv, tol in cases]
+    point_the_guide_the_wrong_way(monkeypatch)
+    leave_every_truncated_sign_open(monkeypatch)
+    assert [minimize_module._minimize(adv, tol) for adv, tol in cases] == certified
+
+
+def test_roots_next_to_both_ends_take_both_float_branches(monkeypatch):
+    calls = record_calls(monkeypatch, "_float_value")
+    eps, tol = Fraction(1, 2**45), Fraction(1, 2**50)
+    # _float_value runs Horner's rule in x/(1-x) up to 1/2 and in (1-x)/x above
+    assert isolate_unit_interval_roots(poly_with_roots([eps, 1 - eps]), tol) == [
+        (eps, eps),
+        (1 - eps, 1 - eps),
+    ]
+    near = [eps / 3, 1 - eps / 3]
+    brackets = isolate_unit_interval_roots(poly_with_roots(near), tol)
+    assert brackets == [dyadic_node(root, 50) for root in near]
+    points = [x for _, x in calls]
+    assert min(points) < 2.0**-44 and max(points) > 1 - 2.0**-44
+
+
+def test_the_float_guide_keeps_its_sign_at_degree_4000():
+    # b_j = 3j - d is d(3x - 1) raised to degree d.  Its homogeneous coefficients
+    # (3j - d) C(d, j) span ~4000 bits, far beyond the float range.
+    d = 4000
+    guide = minimize_module._floats([3 * j - d for j in range(d + 1)])
+    for x in (2.0**-40, 0.01, 0.3, 1 / 3 - 2.0**-30, 1 / 3 + 2.0**-30, 0.5, 0.9, 1 - 2.0**-40):
+        assert (minimize_module._float_value(guide, x) > 0) == (x > 1 / 3), x
+
+
+def test_a_dyadic_root_at_a_guided_cell_end_comes_back_exact(monkeypatch):
+    root = Fraction(0x5A5A5A5A5B, 2**40)  # odd numerator: first a midpoint at level 40
+    values = record_calls(monkeypatch, "_dyadic_value")
+    brackets = isolate_unit_interval_roots(poly_with_roots([root]), Fraction(1, 2**45))
+    assert brackets == [(root, root)]
+    assert len(values) == 2  # the guided cell's two ends, and no exact halving
+
+
+def test_exact_bisection_finishes_past_the_float_level(monkeypatch):
+    root = Fraction(0x9E3779B97F4A7 << 8 | 0x81, 2**60)  # level 60, mid-cell at level 52
+    calls = record_calls(monkeypatch, "_guess_cell")
+    brackets = isolate_unit_interval_roots(poly_with_roots([root]), Fraction(1, 2**70))
+    assert brackets == [(root, root)]
+    assert [level for _, _, _, level, _ in calls] == [52]
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_tol_must_be_finite(tol):
     with pytest.raises(ParameterError, match="finite"):
