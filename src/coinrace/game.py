@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, str, Fraction]
@@ -95,7 +95,5 @@ def turn_bounds(params: NormalizedParams) -> TurnBounds:
     all heads; after m = ceil(n/alpha) turns the target is reached even with
     all tails.
     """
-    l = ceil(Fraction(params.n, params.alpha + params.beta))
-    m = ceil(Fraction(params.n, params.alpha))
-    return TurnBounds(l, m)
+    return TurnBounds(-(-params.n // (params.alpha + params.beta)), -(-params.n // params.alpha))
 

@@ -23,11 +23,11 @@ precision only where an error bound certifies it, and in integers otherwise.
    (Rouillier & Zimmermann, J. Comput. Appl. Math. 162, 2004; Eigenwillig et
    al., CASC 2005), and a node whose bound leaves a sign open is redone exactly;
 3. shrink each bracket around one simple root to the requested width by
-   sign-change bisection at dyadic rationals.  Down to width 2^-52 float signs
-   of I' guess the cell, and two exact integer evaluations check it; past
-   2^-52, or when the check fails, bisection is exact.  Nodes and bisection
-   steps are integer pairs (a, s) for (a/2^s, (a+1)/2^s), and the tolerance is
-   read once as the depth s at which they stop.
+   sign-change bisection at dyadic rationals.  Float signs of the node's own
+   Bernstein form guess the root's cell up to 52 levels down; its two ends are
+   the first points evaluated exactly, in integers, and halving closes the gap
+   that is left.  Nodes are integer pairs (a, s) for (a/2^s, (a+1)/2^s), and
+   the tolerance is read once as the depth s at which they stop.
 
 Only the final reported minimizer is rounded to a float; candidate values are
 exact rationals from the same integer evaluation, compared with ties broken
@@ -207,7 +207,8 @@ def _at_limit_bias(adv: AdvantageResult) -> float:
 # they are x_j + eps_j with 0 <= eps_j < err, exact when err = 0.  anc = (b, a0,
 # s0) is the nearest exact ancestor.  Zeros at 0 and 1 are stripped off at the
 # start, and a zero at a split midpoint by both children, as factors p or 1-p,
-# so no node is split or bisected while it vanishes at an end of its interval.
+# so no node is split or bisected while it vanishes at an end of its interval:
+# x_0 and x_d have the signs just inside its ends, which bisection starts from.
 # ---------------------------------------------------------------------------
 
 _BITS = 96  # a split's inputs are floor-truncated to this many bits
@@ -238,7 +239,6 @@ def _isolate(
     if len(b) <= 1:
         return []
     depth = _depth(tol)
-    guide = _floats(b)
     out: list[tuple[Fraction, Fraction]] = []
     stack: list[tuple[list[int], int, int, int, Optional[tuple[list[int], int, int]]]] = [
         (b, 0, 0, 0, None)
@@ -256,7 +256,7 @@ def _isolate(
         if v == 0:
             continue
         if v == 1:
-            out.append(_bisect(monomial, guide, a, s, x[0], x[-1], depth))
+            out.append(_bisect(monomial, x, a, s, depth))
             continue
         if s >= depth:
             out.append((Fraction(a, 1 << s), Fraction(a + 1, 1 << s)))
@@ -346,57 +346,52 @@ def _replay(anc: Optional[tuple[list[int], int, int]], a: int, s: int) -> list[i
 
 
 def _bisect(
-    monomial: list[int], guide: _Guide, a: int, s: int, b_lo: int, b_hi: int, depth: int
+    monomial: list[int], x: list[int], a: int, s: int, depth: int
 ) -> tuple[Fraction, Fraction]:
-    """Shrink the node (a/2^s, (a+1)/2^s) around its one simple root to width 2^-depth.
+    """Shrink the node (a/2^s, (a+1)/2^s), Bernstein x, around its one simple root.
 
-    ``b_lo`` and ``b_hi`` have the polynomial's signs just inside the node's
-    ends.  The node halves as (a, s) -> (2a, s+1), tested at the midpoint
-    (2a+1)/2^(s+1), never a stripped root.  Down to level min(depth, 52) float
-    signs guess the cell, and only its two ends are evaluated exactly.  With one
-    root in the node, a straddle means exact halving reaches that cell too, and
-    a zero end is where it stops; otherwise the node is halved exactly from the
-    start.  Only the returned bracket is a Fraction.
+    Bounds lo < root < hi in units of 2^-depth start at the node's ends, with
+    the signs of x[0] and x[-1].  The ends of the cell that x's float guide
+    picks, at most 52 levels down, are tried first, then the gap is halved.
+    Each point inside the bounds is evaluated exactly once, at its lowest
+    dyadic level: a zero is the root, and any other sign moves that bound.
     """
-    if b_lo * b_hi >= 0:
+    if x[0] * x[-1] >= 0:
         raise ConsistencyError("isolated bracket must straddle a sign change")
-    left_positive = b_lo > 0
-    level = min(depth, _FLOAT_LEVEL)
-    if s < level:
-        g = _guess_cell(guide, a, s, level, left_positive)
-        shift = level - s
-        lo = b_lo if g == a << shift else _dyadic_value(monomial, g, level)
-        hi = b_hi if g + 1 == (a + 1) << shift else _dyadic_value(monomial, g + 1, level)
-        if not (lo and hi):
-            x = Fraction(g if hi else g + 1, 1 << level)
-            return x, x
-        if (lo > 0) != (hi > 0):
-            a, s = g, level
-    while s < depth:
-        a, s = 2 * a, s + 1
-        value = _dyadic_value(monomial, a + 1, s)
+    left_positive = x[0] > 0
+    k = depth - s
+    level = min(k, _FLOAT_LEVEL)
+    g = (a << level) + _guess_cell(_floats(x), level, left_positive)
+    lo, hi = a << k, (a + 1) << k
+    tries = [(g + 1) << (k - level), g << (k - level)]
+    while hi - lo > 1:
+        u = tries.pop() if tries else (lo + hi) >> 1
+        if not lo < u < hi:
+            continue
+        z = (u & -u).bit_length() - 1
+        value = _dyadic_value(monomial, u >> z, depth - z)
         if not value:
-            mid = Fraction(a + 1, 1 << s)
-            return mid, mid
-        if (value > 0) == left_positive:
-            a += 1
-    return Fraction(a, 1 << s), Fraction(a + 1, 1 << s)
+            root = Fraction(u, 1 << depth)
+            return root, root
+        lo, hi = (u, hi) if (value > 0) == left_positive else (lo, u)
+    return Fraction(lo, 1 << depth), Fraction(hi, 1 << depth)
 
 
-def _guess_cell(guide: _Guide, a: int, s: int, level: int, left_positive: bool) -> int:
-    """The cell (g, level) of node (a, s) that halving on float signs ends in, a guess."""
-    while s < level:
-        a, s = 2 * a, s + 1
-        if (_float_value(guide, (a + 1) / (1 << s)) > 0) == left_positive:
-            a += 1
-    return a
+def _guess_cell(guide: _Guide, level: int, left_positive: bool) -> int:
+    """The cell (g/2^level, (g+1)/2^level) that halving (0, 1) on float signs ends in."""
+    g = 0
+    for s in range(1, level + 1):
+        g *= 2
+        if (_float_value(guide, (g + 1) / (1 << s)) > 0) == left_positive:
+            g += 1
+    return g
 
 
 def _floats(b: list[int]) -> _Guide:
-    """Horner steps from each end for Bernstein b, divided once by 2^k to below 1.
+    """Horner steps from each end for a node's Bernstein b, divided once by 2^k to below 1.
 
-    b spans ~30 bits at (2000,1,1); the homogeneous b_j C(d, j) span ~d bits,
-    past the float range there.
+    A split child's b_j have ~d + 96 bits, past the float range, so they are
+    divided as integers; the homogeneous b_j C(d, j) span ~d bits, too many.
     """
     k = max(map(abs, b)).bit_length()
     f = [x / (1 << k) for x in b]

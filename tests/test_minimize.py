@@ -491,12 +491,32 @@ def test_the_float_guide_keeps_its_sign_at_degree_4000():
         assert (minimize_module._float_value(guide, x) > 0) == (x > 1 / 3), x
 
 
+def test_the_float_guide_keeps_its_sign_on_a_truncated_child():
+    # the left half of (500,1,1)'s I' after a 96-bit truncation; a split scales
+    # by 2^999, so its coefficients have ~1090 bits, past the float range
+    adv = advantage_polynomial(GameParams(500, 1, 1))
+    c = adv.homogeneous
+    d = len(c) - 1
+    b = minimize_module._bernstein([(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)])
+    x, err = minimize_module._truncate(b, 0)
+    assert err
+    left, _ = minimize_module._split(x)
+    guide = minimize_module._floats(left)
+    monomial = list(adv.poly.derivative().coeffs)
+    lo, hi = minimize_advantage(GameParams(500, 1, 1), 2.0**-31).bracket  # the root, near 0.27
+    for t in (2.0**-40, 0.25, 0.5, float(2 * lo), float(2 * hi), 0.75, 1 - 2.0**-40):
+        exact = minimize_module._value_at(monomial, Fraction(t) / 2)
+        assert (minimize_module._float_value(guide, t) > 0) == (exact > 0), t
+    # and halving on those signs ends in the root's level-30 cell of the child
+    assert minimize_module._guess_cell(guide, 30, left[0] > 0) == lo * 2**31
+
+
 def test_a_dyadic_root_at_a_guided_cell_end_comes_back_exact(monkeypatch):
     root = Fraction(0x5A5A5A5A5B, 2**40)  # odd numerator: first a midpoint at level 40
     values = record_calls(monkeypatch, "_dyadic_value")
     brackets = isolate_unit_interval_roots(poly_with_roots([root]), Fraction(1, 2**45))
     assert brackets == [(root, root)]
-    assert len(values) == 2  # the guided cell's two ends, and no exact halving
+    assert len(values) == 1  # the guided cell's left end, the first point tried
 
 
 def test_exact_bisection_finishes_past_the_float_level(monkeypatch):
@@ -504,7 +524,25 @@ def test_exact_bisection_finishes_past_the_float_level(monkeypatch):
     calls = record_calls(monkeypatch, "_guess_cell")
     brackets = isolate_unit_interval_roots(poly_with_roots([root]), Fraction(1, 2**70))
     assert brackets == [(root, root)]
-    assert [level for _, _, _, level, _ in calls] == [52]
+    assert [level for _, level, _ in calls] == [52]
+
+
+def test_guided_bisection_at_2_to_the_minus_52_never_walks_the_node_again(monkeypatch):
+    # the guide of each node's own coefficients picks the root's level-52 cell,
+    # so its two ends are the only exact evaluations
+    values = record_calls(monkeypatch, "_dyadic_value")
+    counts = []
+    real = minimize_module._bisect
+
+    def counting(*args):
+        before = len(values)
+        bracket = real(*args)
+        counts.append(len(values) - before)
+        return bracket
+
+    monkeypatch.setattr(minimize_module, "_bisect", counting)
+    minimize_advantage(GameParams(39, 3, 2), 2.0**-52)
+    assert counts and max(counts) <= 2, counts
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
