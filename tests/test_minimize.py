@@ -493,16 +493,13 @@ def test_the_float_guide_keeps_its_sign_at_degree_4000():
 
 def test_the_float_guide_keeps_its_sign_on_a_truncated_child():
     # the left half of (500,1,1)'s I' after a 96-bit truncation; a split scales
-    # by 2^999, so its coefficients have ~1090 bits, past the float range
-    adv = advantage_polynomial(GameParams(500, 1, 1))
-    c = adv.homogeneous
-    d = len(c) - 1
-    b = minimize_module._bernstein([(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)])
+    # by 2^997, so its coefficients have ~1090 bits, past the float range
+    monomial = list(advantage_polynomial(GameParams(500, 1, 1)).poly.derivative().coeffs)
+    b = minimize_module._bernstein(to_homogeneous(monomial, len(monomial) - 1))
     x, err = minimize_module._truncate(b, 0)
     assert err
     left, _ = minimize_module._split(x)
     guide = minimize_module._floats(left)
-    monomial = list(adv.poly.derivative().coeffs)
     lo, hi = minimize_advantage(GameParams(500, 1, 1), 2.0**-31).bracket  # the root, near 0.27
     for t in (2.0**-40, 0.25, 0.5, float(2 * lo), float(2 * hi), 0.75, 1 - 2.0**-40):
         exact = minimize_module._value_at(monomial, Fraction(t) / 2)
