@@ -33,16 +33,15 @@ turn's slots.  The homogeneous coefficients are converted to monomials once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .game import GameParams, NormalizedParams, ParameterError, TurnBounds, normalize, parse_rational, turn_bounds
 from .polynomial import ONE, Poly, from_homogeneous
 from .stopping import ConsistencyError, win_turn_slots
 
 
-@dataclass(frozen=True)
-class AdvantageResult:
+class AdvantageResult(NamedTuple):
     params: NormalizedParams
     bounds: TurnBounds
     poly: Poly

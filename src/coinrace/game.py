@@ -13,10 +13,9 @@ so every triple is normalized to coprime positive integers before analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import NamedTuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -36,22 +35,26 @@ def parse_rational(text: RationalLike) -> Fraction:
         raise ParameterError(f"not a valid rational: {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class GameParams:
-    """Points needed to win, points per tail, bonus points per head."""
-
+class _GameFields(NamedTuple):  # a NamedTuple body cannot define __new__, so GameParams subclasses it
     n: Fraction
     alpha: Fraction
     beta: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", parse_rational(self.n))
-        object.__setattr__(self, "alpha", parse_rational(self.alpha))
-        object.__setattr__(self, "beta", parse_rational(self.beta))
+
+class GameParams(_GameFields):
+    """Points needed to win, points per tail, bonus points per head."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: RationalLike, alpha: RationalLike, beta: RationalLike) -> GameParams:
+        return super().__new__(cls, parse_rational(n), parse_rational(alpha), parse_rational(beta))
+
+    @classmethod
+    def _make(cls, iterable) -> GameParams:  # so that _replace parses its fields too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class NormalizedParams:
+class NormalizedParams(NamedTuple):
     """Integer game parameters with gcd(n, alpha, beta) = 1."""
 
     n: int
@@ -59,8 +62,7 @@ class NormalizedParams:
     beta: int
 
 
-@dataclass(frozen=True)
-class TurnBounds:
+class TurnBounds(NamedTuple):
     """Support of the win-turn count: l = ceil(n/(alpha+beta)), m = ceil(n/alpha)."""
 
     l: int
@@ -82,9 +84,9 @@ def normalize(params: GameParams) -> NormalizedParams:
     unchanged, so clear denominators and divide out the common factor.
     """
     validate(params)
-    scale = lcm(params.n.denominator, params.alpha.denominator, params.beta.denominator)
-    n, a, b = (int(v * scale) for v in (params.n, params.alpha, params.beta))
-    g = gcd(n, gcd(a, b))
+    scale = lcm(*(v.denominator for v in params))
+    n, a, b = (v.numerator * (scale // v.denominator) for v in params)
+    g = gcd(n, a, b)
     return NormalizedParams(n // g, a // g, b // g)
 
 

@@ -37,19 +37,17 @@ toward smaller p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, mul, ne
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .advantage import AdvantageResult, advantage_polynomial
 from .game import GameParams, ParameterError, parse_rational
 from .stopping import ConsistencyError
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(NamedTuple):
     """Location and value of the advantage minimum over [0, 1]."""
 
     degenerate: bool
@@ -62,8 +60,7 @@ class MinimizationResult:
     tie: bool = False  # another critical point attained exactly the same value
 
 
-@dataclass(frozen=True)
-class AsymptoticOptimum:
+class AsymptoticOptimum(NamedTuple):
     """Large-target limit of the minimizing bias, determined by t = alpha/beta."""
 
     t: Fraction

@@ -24,9 +24,8 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from math import sqrt
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .game import GameParams, ParameterError, normalize
 from .minimize import asymptotic_optimum
@@ -34,8 +33,7 @@ from .minimize import asymptotic_optimum
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     params: GameParams
     p: float
     trials: int
@@ -43,14 +41,13 @@ class SimConfig:
     workers: int = 1
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     trials: int
     wins: int  # first-player wins
     frequency: float
     stderr: float
     seed: int
-    turn_histogram: Mapping[int, float] = field(hash=False)  # signed turn -> share of trials
+    turn_histogram: Mapping[int, float]  # signed turn -> share of trials
 
 
 def simulate(config: SimConfig) -> SimResult:

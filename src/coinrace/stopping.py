@@ -15,9 +15,8 @@ binomial row of (1-p)^(k-j); ``coinrace.advantage`` packs the same slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .game import NormalizedParams, ParameterError, TurnBounds, turn_bounds
 from .polynomial import ONE, Poly, binomial
@@ -27,8 +26,7 @@ class ConsistencyError(RuntimeError):
     """An internal identity check failed: a construction bug, never bad input."""
 
 
-@dataclass(frozen=True)
-class HitTimeDistribution:
+class HitTimeDistribution(NamedTuple):
     """Exact pmf of the winning turn: maps each k in [l, m] to a polynomial in p."""
 
     bounds: TurnBounds

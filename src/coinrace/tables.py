@@ -10,8 +10,8 @@ advisory, never hard errors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .advantage import AdvantageResult, advantage_polynomial
 from .game import GameParams, ParameterError
@@ -26,8 +26,7 @@ POLYNOMIAL_TABLES: dict[int, tuple[int, int, list[int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class MinimizedRow:
+class MinimizedRow(NamedTuple):
     n: int
     alpha: int
     beta: int

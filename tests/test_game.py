@@ -75,6 +75,17 @@ def test_turn_bounds(params, l, m):
     assert (bounds.l, bounds.m) == (l, m)
 
 
+wide_rationals = st.fractions(min_value=Fraction(1, 10**9), max_value=10**9, max_denominator=10**9)
+
+
+@given(wide_rationals, wide_rationals, wide_rationals)
+def test_normalize_gives_the_coprime_integers_in_the_same_ratio(n, alpha, beta):
+    got = normalize(GameParams(n, alpha, beta))
+    assert all(type(v) is int and v > 0 for v in got)
+    assert math.gcd(*got) == 1
+    assert Fraction(got.alpha, got.n) == alpha / n and Fraction(got.beta, got.n) == beta / n
+
+
 @given(positive_rationals, positive_rationals, positive_rationals, positive_rationals)
 def test_scaling_invariance(n, alpha, beta, c):
     base = normalize(GameParams(n, alpha, beta))

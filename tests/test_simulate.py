@@ -239,14 +239,20 @@ def test_histogram_memory_does_not_grow_with_n():
     assert result.turn_histogram == {1: 1.0}
 
 
-def test_importing_the_cli_does_not_load_the_process_pool():
+def modules_loaded_by_importing_the_cli(prefixes: tuple[str, ...]) -> str:
+    """The sorted names of the modules under ``prefixes`` that a fresh ``import coinrace.cli`` loads."""
     src = str(Path(simulate_module.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (
-        "import sys, coinrace.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
-    )
-    out = subprocess.run(
+    code = f"import sys, coinrace.cli; print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     ).stdout
-    assert out == "[]\n"
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    assert modules_loaded_by_importing_the_cli(("concurrent", "multiprocessing")) == "[]\n"
+
+
+def test_importing_the_cli_does_not_load_dataclasses():
+    # the records are named tuples; dataclasses would also pull in inspect, ast and dis
+    assert modules_loaded_by_importing_the_cli(("dataclasses",)) == "[]\n"
