@@ -1,15 +1,18 @@
 """Command-line surface: compute, minimize, simulate, verify, reproduce tables.
 
 Exit codes: 0 on success, 1 when verification finds a mismatch, 2 on usage or
-parameter-domain errors, 141 when stdout is closed early (128 + SIGPIPE).
-Results go to stdout, diagnostics to stderr.  Rational arguments accept "a",
-"a/b" or finite decimals ("3/2" == "1.5").
+parameter-domain errors and when a game is too large for memory, 141 when
+stdout is closed early (128 + SIGPIPE).  Results go to stdout, diagnostics to
+stderr.  Rational arguments accept "a", "a/b" or finite decimals ("3/2" ==
+"1.5").  The argument parser is built on the first ``main()`` call and reused
+by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -54,6 +57,9 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: this game is too large for this machine", file=sys.stderr)
+        return 2
 
 
 def run() -> None:
@@ -83,6 +89,7 @@ def _emit(fmt: str, report: Report) -> int:
     return report.code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coinrace",

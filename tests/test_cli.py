@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +48,17 @@ def test_poly_domain_error_exit_2(capsys):
 def test_usage_error_exit_2(capsys):
     code, _, _ = run_cli(capsys, "poly", "--n", "5", "--alpha", "x", "--beta", "1")
     assert code == 2
+
+
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    def exhausted(params):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "advantage_polynomial", exhausted)
+    code, out, err = run_cli(capsys, "poly", "--n", "1000000000", "--alpha", "1", "--beta", "1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: out of memory: this game is too large for this machine"]
 
 
 def test_poly_json_round_trip(capsys):
@@ -184,6 +196,20 @@ def test_every_command_renders_in_every_format(argv, fmt):
     assert cli_golden.run(patch, args) == GOLDEN[cli_golden.key(patch, args)]
 
 
+def test_the_reused_parser_replays_every_golden_case_in_reverse():
+    # One parser serves every call, so no default (--tol, --workers, --format),
+    # no choice in the --p/--at-pstar group and no patched dependency may
+    # carry over from one call to the next.
+    cases = [(patch, argv + ["--format", fmt])
+             for patch, argv in cli_golden.CASES for fmt in cli_golden.FORMATS][::-1]
+    pstar = ["pstar", "--alpha", "2", "--beta", "3"]
+    for _ in range(2):
+        for patch, args in cases:
+            assert cli_golden.run(patch, args) == GOLDEN[cli_golden.key(patch, args)], args
+        cli_golden.run(None, pstar + ["--format", "json"])
+        assert cli_golden.run(None, pstar) == GOLDEN[cli_golden.key(None, pstar + ["--format", "text"])]
+
+
 def test_verify_reports_match(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--max-n", "5", "--max-alpha", "2", "--max-beta", "2"
@@ -276,13 +302,17 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert "3/4 cases match" in out
 
 
+def subprocess_env() -> dict:
+    """The environment for a child Python that imports this coinrace."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # 148 KB of output, more than a pipe holds, so the CLI is still writing
     # when the reader closes its end after the first 100 bytes.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "coinrace.cli", "pmf", "--n", "120", "--alpha", "1", "--beta", "1"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
     head = proc.stdout.read(100)
     proc.stdout.close()
     err = proc.stderr.read()
@@ -290,3 +320,30 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert proc.wait(timeout=60) == 141
     assert head.startswith(b"k=")
     assert err == b""
+
+
+def test_the_parser_is_built_on_the_first_call_and_reused():
+    # Counts the parsers (the top one and one per command) built after the
+    # import, after a first main() call and after a second one.
+    code = textwrap.dedent("""
+        import argparse, contextlib, io
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import coinrace.cli as cli
+        counts = [len(built)]
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["pstar", "--alpha", "1", "--beta", "1"]) == 0
+            counts.append(len(built))
+        print(counts)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env(), timeout=60, check=True).stdout
+    after_import, after_first, after_second = json.loads(out)
+    assert after_import == 0
+    assert after_first > 0
+    assert after_second == after_first
