@@ -23,11 +23,13 @@ precision only where an error bound certifies it, and in integers otherwise.
    (Rouillier & Zimmermann, J. Comput. Appl. Math. 162, 2004; Eigenwillig et
    al., CASC 2005), and a node whose bound leaves a sign open is redone exactly;
 3. shrink each bracket around one simple root to the requested width by
-   sign-change bisection at dyadic rationals.  Float signs of the node's own
-   Bernstein form guess the root's cell up to 52 levels down; its two ends are
-   the first points evaluated exactly, in integers, and halving closes the gap
-   that is left.  Nodes are integer pairs (a, s) for (a/2^s, (a+1)/2^s), and
-   the tolerance is read once as the depth s at which they stop.
+   quadratic interval refinement at dyadic rationals (Abbott, ACM Commun.
+   Comput. Algebra 48(1), 2014; Kerber & Sagraloff, ISSAC 2011): a secant
+   step picks a window that shrinks quadratically while it keeps holding the
+   root, and halving takes over when it misses, so a root costs O(log depth)
+   evaluations, each an exact sign in integers.  Nodes are integer pairs
+   (a, s) for (a/2^s, (a+1)/2^s), and the tolerance is read once as the
+   depth s at which they stop.
 
 Only the final reported minimizer is rounded to a float; candidate values are
 exact rationals from the same integer evaluation, compared with ties broken
@@ -199,18 +201,16 @@ def _at_limit_bias(adv: AdvantageResult) -> float:
 # ---------------------------------------------------------------------------
 # Root isolation of an integer polynomial on (0, 1), in the (p, 1-p) basis.
 #
-# A work item (x, err, a, s, anc) holds the Bernstein coefficients of the
+# A work item (x, err, a, s) holds the Bernstein coefficients of the
 # polynomial on (a/2^s, (a+1)/2^s), rescaled to (0, 1): up to a positive factor
-# they are x_j + eps_j with 0 <= eps_j < err, exact when err = 0.  anc = (b, a0,
-# s0) is the nearest exact ancestor.  Zeros at 0 and 1 are stripped off at the
-# start, and a zero at a split midpoint by both children, as factors p or 1-p,
-# so no node is split or bisected while it vanishes at an end of its interval:
-# x_0 and x_d have the signs just inside its ends, which bisection starts from.
+# they are x_j + eps_j with 0 <= eps_j < err, exact when err = 0.  Zeros at 0
+# and 1 are stripped off at the start, and a zero at a split midpoint by both
+# children, as factors p or 1-p, so no node is split or bisected while it
+# vanishes at an end of its interval: x_0 and x_d have the signs just inside
+# its ends, which bisection starts from.
 # ---------------------------------------------------------------------------
 
 _BITS = 96  # a split's inputs are floor-truncated to this many bits
-_FLOAT_LEVEL = 52  # (a + 1)/2^s is exact in a float for every a < 2^s when s <= 52
-_Guide = tuple[tuple[float, list[tuple[float, float]]], ...]  # see _floats
 
 
 def _isolate(
@@ -237,13 +237,11 @@ def _isolate(
         return []
     depth = _depth(tol)
     out: list[tuple[Fraction, Fraction]] = []
-    stack: list[tuple[list[int], int, int, int, Optional[tuple[list[int], int, int]]]] = [
-        (b, 0, 0, 0, None)
-    ]
+    stack = [(b, 0, 0, 0)]
     while stack:
-        x, err, a, s, anc = stack.pop()
+        x, err, a, s = stack.pop()
         if not _certain(x, err):
-            x, err = _replay(anc, a, s), 0
+            x, err = _replay(b, a, s), 0
         if not (x[0] and x[-1]):  # a root at the midpoint this node was cut at
             if not x[0]:  # the right child reports it, the left one only deflates
                 mid = Fraction(a, 1 << s)
@@ -258,13 +256,11 @@ def _isolate(
         if s >= depth:
             out.append((Fraction(a, 1 << s), Fraction(a + 1, 1 << s)))
             continue
-        if not err:
-            anc = (x, a, s)
         x, err = _truncate(x, err)
         left, right = _split(x)
         err <<= len(x) - 1
-        stack.append((left, err, 2 * a, s + 1, anc))
-        stack.append((right, err, 2 * a + 1, s + 1, anc))
+        stack.append((left, err, 2 * a, s + 1))
+        stack.append((right, err, 2 * a + 1, s + 1))
     return sorted(out)
 
 
@@ -333,10 +329,14 @@ def _split(b: list[int]) -> tuple[list[int], list[int]]:
     return left, right
 
 
-def _replay(anc: Optional[tuple[list[int], int, int]], a: int, s: int) -> list[int]:
-    """Exact coefficients of node (a, s), by exact splits down from its exact ancestor."""
-    b, a0, s0 = anc
-    for level in range(s - s0 - 1, -1, -1):
+def _replay(b: list[int], a: int, s: int) -> list[int]:
+    """Exact coefficients of node (a, s), by exact splits down from the root's b.
+
+    An ancestor with a zero end is deflated first, as ``_isolate`` deflated it.
+    """
+    for level in range(s - 1, -1, -1):
+        if not (b[0] and b[-1]):
+            b = _deflate(b)
         left, right = _split(b)
         b = right if a >> level & 1 else left
     return b
@@ -347,69 +347,49 @@ def _bisect(
 ) -> tuple[Fraction, Fraction]:
     """Shrink the node (a/2^s, (a+1)/2^s), Bernstein x, around its one simple root.
 
-    Bounds lo < root < hi in units of 2^-depth start at the node's ends, with
-    the signs of x[0] and x[-1].  The ends of the cell that x's float guide
-    picks, at most 52 levels down, are tried first, then the gap is halved.
-    Each point inside the bounds is evaluated exactly once, at its lowest
-    dyadic level: a zero is the root, and any other sign moves that bound.
+    Quadratic interval refinement (Abbott, ACM CCA 48(1), 2014): bounds
+    lo < root < hi in units of 2^-depth start at the node's ends, with the
+    signs of x[0] and x[-1].  Once the values at both bounds are known, the
+    window of width w, the largest power of two <= (hi - lo)/N, that holds
+    the secant point is tried at both ends; N squares when the root is in it
+    and falls back towards 2 when not.  At N = 2, or while a bound's value is
+    unknown, the gap is halved.  Each point inside the bounds is evaluated
+    exactly once, at its lowest dyadic level, which the power-of-two window
+    keeps coarse: a zero is the root, and any other sign moves that bound.
+    Every decision is an exact sign, so the result is the root's cell at
+    depth, or the root itself.
     """
     if x[0] * x[-1] >= 0:
         raise ConsistencyError("isolated bracket must straddle a sign change")
     left_positive = x[0] > 0
-    k = depth - s
-    level = min(k, _FLOAT_LEVEL)
-    g = (a << level) + _guess_cell(_floats(x), level, left_positive)
-    lo, hi = a << k, (a + 1) << k
-    tries = [(g + 1) << (k - level), g << (k - level)]
+    d = len(monomial) - 1
+    lo, hi = a << (depth - s), (a + 1) << (depth - s)
+    f_lo = f_hi = 0  # the values at lo and hi times 2^(depth*d), 0 until evaluated
+    n = 4
     while hi - lo > 1:
-        u = tries.pop() if tries else (lo + hi) >> 1
-        if not lo < u < hi:
-            continue
-        z = (u & -u).bit_length() - 1
-        value = _dyadic_value(monomial, u >> z, depth - z)
-        if not value:
-            root = Fraction(u, 1 << depth)
-            return root, root
-        lo, hi = (u, hi) if (value > 0) == left_positive else (lo, u)
+        w = 0
+        if f_lo and f_hi and n > 2:
+            w = 1 << max((hi - lo) // n, 1).bit_length() - 1
+            c = (lo + (hi - lo) * f_lo // (f_lo - f_hi)) & -w
+            tries = (c, c + w)
+        else:
+            tries = ((lo + hi) >> 1,)
+        for u in tries:
+            if lo < u < hi:
+                z = (u & -u).bit_length() - 1
+                value = _dyadic_value(monomial, u >> z, depth - z) << (z * d)
+                if not value:
+                    root = Fraction(u, 1 << depth)
+                    return root, root
+                if (value > 0) == left_positive:
+                    lo, f_lo = u, value
+                else:
+                    hi, f_hi = u, value
+        if w:
+            n = n * n if hi - lo <= w else max(2, math.isqrt(n))
+        elif f_lo and f_hi:
+            n = 4
     return Fraction(lo, 1 << depth), Fraction(hi, 1 << depth)
-
-
-def _guess_cell(guide: _Guide, level: int, left_positive: bool) -> int:
-    """The cell (g/2^level, (g+1)/2^level) that halving (0, 1) on float signs ends in."""
-    g = 0
-    for s in range(1, level + 1):
-        g *= 2
-        if (_float_value(guide, (g + 1) / (1 << s)) > 0) == left_positive:
-            g += 1
-    return g
-
-
-def _floats(b: list[int]) -> _Guide:
-    """Horner steps from each end for a node's Bernstein b, divided once by 2^k to below 1.
-
-    A split child's b_j have ~d + 96 bits, past the float range, so they are
-    divided as integers; the homogeneous b_j C(d, j) span ~d bits, too many.
-    """
-    k = max(map(abs, b)).bit_length()
-    f = [x / (1 << k) for x in b]
-    d = len(f) - 1
-    ratios = [(d - i) / (i + 1) for i in range(d - 1, -1, -1)]
-    return (f[-1], list(zip(ratios, f[-2::-1]))), (f[0], list(zip(ratios, f[1:])))
-
-
-def _float_value(guide: _Guide, x: float) -> float:
-    """sum_j b_j C(d, j) t^j, t = x/(1-x) <= 1, or in (1-x)/x with b reversed above 1/2.
-
-    Horner's rule carries C(d, j) as ratios (d-i)/(i+1).  The sum overflows only
-    once it dwarfs every b_j, so an infinity keeps the sign.
-    """
-    if x <= 0.5:
-        (acc, steps), t = guide[0], x / (1 - x)
-    else:
-        (acc, steps), t = guide[1], (1 - x) / x
-    for ratio, c in steps:
-        acc = acc * t * ratio + c
-    return acc
 
 
 def _dyadic_value(c: Sequence[int], u: int, v: int) -> int:

@@ -368,15 +368,29 @@ def test_roots_closer_than_tol_share_a_bracket(gap, count):
         assert brackets == [dyadic_node(third, 30)]
 
 
-# --- low-precision decisions, each certified exactly --------------------------
+# --- low-precision signs and the refinement, checked against plain exact code --
 
 import coinrace.minimize as minimize_module
 
 
-def point_the_guide_the_wrong_way(monkeypatch):
-    # every float sign flips, so each guided cell misses the root
-    real = minimize_module._float_value
-    monkeypatch.setattr(minimize_module, "_float_value", lambda e, x: -real(e, x))
+def halve_to_depth(monomial, x, a, s, depth):
+    """Plain exact bisection of node (a, s) around its one root, the reference for _bisect."""
+    left_positive = x[0] > 0
+    lo, hi = a << (depth - s), (a + 1) << (depth - s)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        value = minimize_module._dyadic_value(monomial, mid, depth)
+        if not value:
+            return Fraction(mid, 2**depth), Fraction(mid, 2**depth)
+        if (value > 0) == left_positive:
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(lo, 2**depth), Fraction(hi, 2**depth)
+
+
+def bisect_by_halving(monkeypatch):
+    monkeypatch.setattr(minimize_module, "_bisect", halve_to_depth)
 
 
 def leave_every_truncated_sign_open(monkeypatch):
@@ -419,10 +433,10 @@ def fallback_results():
 @pytest.mark.parametrize(
     "force,fallback",
     [
-        (point_the_guide_the_wrong_way, "_dyadic_value"),
+        (bisect_by_halving, "_dyadic_value"),
         (leave_every_truncated_sign_open, "_replay"),
     ],
-    ids=["wrong-guide", "open-signs"],
+    ids=["halving", "open-signs"],
 )
 def test_exact_fallbacks_give_the_same_results(monkeypatch, force, fallback):
     calls = record_calls(monkeypatch, fallback)
@@ -431,7 +445,7 @@ def test_exact_fallbacks_give_the_same_results(monkeypatch, force, fallback):
     calls.clear()
     force(monkeypatch)
     assert fallback_results() == expected
-    assert len(calls) > fast  # the exact fallback did the work
+    assert len(calls) > fast  # the plain exact code did more of the work
 
 
 def test_a_midpoint_root_among_truncated_coefficients_is_settled_exactly(monkeypatch):
@@ -446,14 +460,30 @@ def test_a_midpoint_root_among_truncated_coefficients_is_settled_exactly(monkeyp
     assert sorted((a, s) for _, a, s in replays) == [(2, 3), (3, 3)]  # both halves of (1/4, 1/2)
 
 
+def test_a_replay_below_a_midpoint_root_deflates_it_as_the_loop_did(monkeypatch):
+    # 1/2 is a root, so both halves of (0, 1) deflate it, and the close pair to
+    # its right splits the right half again along its left edge.  A replay from
+    # the root must deflate those ancestors too, or each node on that edge would
+    # report 1/2 once more.
+    half, tol = Fraction(1, 2), Fraction(1, 10**9)
+    dpoly = advantage_polynomial(GameParams(30, 1, 1)).poly.derivative()
+    poly = dpoly * poly_with_roots([half, half + Fraction(1, 1000), half + Fraction(2, 1000)])
+    expected = isolate_unit_interval_roots(poly, tol)
+    assert len(expected) == 4 and expected[1] == (half, half)
+    replays = record_calls(monkeypatch, "_replay")
+    leave_every_truncated_sign_open(monkeypatch)
+    assert isolate_unit_interval_roots(poly, tol) == expected
+    assert (4, 3) in [(a, s) for _, a, s in replays]  # (1/2, 5/8), on that edge
+
+
 SMALL_GAMES = [
     (n, alpha, beta) for n in range(1, 25) for alpha in range(1, 4) for beta in range(1, 4)
 ]
 
 
 def test_certified_path_equals_the_exact_one(monkeypatch):
-    # at 5e-324 every bisection runs 1074 levels in big integers, ~35 s over all
-    # of these games, so that tolerance covers n <= 8 only
+    # at 5e-324 the reference halves 1074 levels in big integers per root, so
+    # that tolerance covers n <= 8 only
     advs = {game: advantage_polynomial(GameParams(*game)) for game in SMALL_GAMES}
     cases = [
         (advs[game], tol)
@@ -462,15 +492,13 @@ def test_certified_path_equals_the_exact_one(monkeypatch):
         if tol > 5e-324 or game[0] <= 8
     ]
     certified = [minimize_module._minimize(adv, tol) for adv, tol in cases]
-    point_the_guide_the_wrong_way(monkeypatch)
+    bisect_by_halving(monkeypatch)
     leave_every_truncated_sign_open(monkeypatch)
     assert [minimize_module._minimize(adv, tol) for adv, tol in cases] == certified
 
 
-def test_roots_next_to_both_ends_take_both_float_branches(monkeypatch):
-    calls = record_calls(monkeypatch, "_float_value")
+def test_roots_next_to_both_ends_come_back_in_their_cells():
     eps, tol = Fraction(1, 2**45), Fraction(1, 2**50)
-    # _float_value runs Horner's rule in x/(1-x) up to 1/2 and in (1-x)/x above
     assert isolate_unit_interval_roots(poly_with_roots([eps, 1 - eps]), tol) == [
         (eps, eps),
         (1 - eps, 1 - eps),
@@ -478,68 +506,53 @@ def test_roots_next_to_both_ends_take_both_float_branches(monkeypatch):
     near = [eps / 3, 1 - eps / 3]
     brackets = isolate_unit_interval_roots(poly_with_roots(near), tol)
     assert brackets == [dyadic_node(root, 50) for root in near]
-    points = [x for _, x in calls]
-    assert min(points) < 2.0**-44 and max(points) > 1 - 2.0**-44
 
 
-def test_the_float_guide_keeps_its_sign_at_degree_4000():
-    # b_j = 3j - d is d(3x - 1) raised to degree d.  Its homogeneous coefficients
-    # (3j - d) C(d, j) span ~4000 bits, far beyond the float range.
-    d = 4000
-    guide = minimize_module._floats([3 * j - d for j in range(d + 1)])
-    for x in (2.0**-40, 0.01, 0.3, 1 / 3 - 2.0**-30, 1 / 3 + 2.0**-30, 0.5, 0.9, 1 - 2.0**-40):
-        assert (minimize_module._float_value(guide, x) > 0) == (x > 1 / 3), x
+@pytest.mark.parametrize(
+    "root,tol",
+    [
+        (Fraction(0x5A5A5A5A5B, 2**40), Fraction(1, 2**45)),  # a midpoint at level 40
+        (Fraction(0x9E3779B97F4A7 << 8 | 0x81, 2**60), Fraction(1, 2**70)),  # past 2^-52
+    ],
+)
+def test_a_dyadic_root_above_the_depth_comes_back_exact(root, tol):
+    assert isolate_unit_interval_roots(poly_with_roots([root]), tol) == [(root, root)]
 
 
-def test_the_float_guide_keeps_its_sign_on_a_truncated_child():
-    # the left half of (500,1,1)'s I' after a 96-bit truncation; a split scales
-    # by 2^997, so its coefficients have ~1090 bits, past the float range
-    monomial = list(advantage_polynomial(GameParams(500, 1, 1)).poly.derivative().coeffs)
-    b = minimize_module._bernstein(to_homogeneous(monomial, len(monomial) - 1))
-    x, err = minimize_module._truncate(b, 0)
-    assert err
-    left, _ = minimize_module._split(x)
-    guide = minimize_module._floats(left)
-    lo, hi = minimize_advantage(GameParams(500, 1, 1), 2.0**-31).bracket  # the root, near 0.27
-    for t in (2.0**-40, 0.25, 0.5, float(2 * lo), float(2 * hi), 0.75, 1 - 2.0**-40):
-        exact = minimize_module._value_at(monomial, Fraction(t) / 2)
-        assert (minimize_module._float_value(guide, t) > 0) == (exact > 0), t
-    # and halving on those signs ends in the root's level-30 cell of the child
-    assert minimize_module._guess_cell(guide, 30, left[0] > 0) == lo * 2**31
+roots_outside = st.lists(
+    st.one_of(
+        st.fractions(max_value=Fraction(-1, 100), max_denominator=100),
+        st.fractions(min_value=Fraction(101, 100), max_denominator=100),
+    ),
+    max_size=3,
+)
+
+one_root_inside = st.one_of(
+    unit_roots.map(lambda r: poly_with_roots([r])),
+    st.integers(1, 2**90 - 1).map(lambda u: poly_with_roots([Fraction(u, 2**90)])),
+    st.integers(1, 2**40 - 4).map(lambda u: poly_with_roots([Fraction(u, 2**40 - 3)])),
+    st.integers(1, 99).map(lambda c: Poly((-c, 0, 100))),  # +-sqrt(c)/10
+)
 
 
-def test_a_dyadic_root_at_a_guided_cell_end_comes_back_exact(monkeypatch):
-    root = Fraction(0x5A5A5A5A5B, 2**40)  # odd numerator: first a midpoint at level 40
+@settings(deadline=None, max_examples=200)
+@given(one_root_inside, roots_outside, st.integers(0, 120))
+def test_refinement_matches_plain_halving(inside, others, depth):
+    # every refinement decision is an exact sign, so at every depth the cell, or
+    # the dyadic root itself, must be the reference's
+    coeffs = list((inside * poly_with_roots(others)).coeffs)
+    x = minimize_module._bernstein(to_homogeneous(coeffs, len(coeffs) - 1))
+    expected = halve_to_depth(coeffs, x, 0, 0, depth)
+    assert minimize_module._bisect(coeffs, x, 0, 0, depth) == expected
+
+
+def test_deep_refinement_makes_few_exact_evaluations(monkeypatch):
+    # quadratic refinement squares its step while the secant keeps hitting, so
+    # a root costs O(log depth) evaluations, not one per level: 62 here,
+    # candidates included; halving every level past 2^-52 takes 839
     values = record_calls(monkeypatch, "_dyadic_value")
-    brackets = isolate_unit_interval_roots(poly_with_roots([root]), Fraction(1, 2**45))
-    assert brackets == [(root, root)]
-    assert len(values) == 1  # the guided cell's left end, the first point tried
-
-
-def test_exact_bisection_finishes_past_the_float_level(monkeypatch):
-    root = Fraction(0x9E3779B97F4A7 << 8 | 0x81, 2**60)  # level 60, mid-cell at level 52
-    calls = record_calls(monkeypatch, "_guess_cell")
-    brackets = isolate_unit_interval_roots(poly_with_roots([root]), Fraction(1, 2**70))
-    assert brackets == [(root, root)]
-    assert [level for _, level, _ in calls] == [52]
-
-
-def test_guided_bisection_at_2_to_the_minus_52_never_walks_the_node_again(monkeypatch):
-    # the guide of each node's own coefficients picks the root's level-52 cell,
-    # so its two ends are the only exact evaluations
-    values = record_calls(monkeypatch, "_dyadic_value")
-    counts = []
-    real = minimize_module._bisect
-
-    def counting(*args):
-        before = len(values)
-        bracket = real(*args)
-        counts.append(len(values) - before)
-        return bracket
-
-    monkeypatch.setattr(minimize_module, "_bisect", counting)
-    minimize_advantage(GameParams(39, 3, 2), 2.0**-52)
-    assert counts and max(counts) <= 2, counts
+    minimize_advantage(GameParams(90, 1, 2), 1e-100)
+    assert len(values) <= 100, len(values)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
