@@ -1,8 +1,8 @@
 """Exact minimization of the advantage over [0, 1] and the limiting optimal bias.
 
 The advantage polynomial can reach degree 2m - 2 with coefficients in the
-millions, where floating-point root finding is untrustworthy, so every root
-of its derivative is located by exact decisions: a sign is read in low
+millions, where floating-point root finding is untrustworthy, so the roots
+of its derivative are located by exact decisions: a sign is read in low
 precision only where an error bound certifies it, and in integers otherwise.
 
 1. write I' in the (p, 1-p) basis: from the advantage's homogeneous
@@ -21,7 +21,13 @@ precision only where an error bound certifies it, and in integers otherwise.
    multiple root, or roots closer than the tolerance, end there.  Splits run
    on coefficients floor-truncated to 96 bits with an exact error bound
    (Rouillier & Zimmermann, J. Comput. Appl. Math. 162, 2004; Eigenwillig et
-   al., CASC 2005), and a node whose bound leaves a sign open is redone exactly;
+   al., CASC 2005), and a node whose bound leaves a sign open is redone exactly.
+   The search is branch and bound.  I's Bernstein coefficients on a node are
+   I at its left end plus prefix sums of the node's coefficients of I', and I
+   is nowhere below the least of them (Lane & Riesenfeld, BIT 21, 1981).  A
+   node where that bound exceeds the least exact value of I seen so far holds
+   no minimizer and no tie, so it is dropped with its subtree, and of two
+   children the one with the smaller bound goes first;
 3. shrink each bracket around one simple root to the requested width by
    quadratic interval refinement at dyadic rationals (Abbott, ACM Commun.
    Comput. Algebra 48(1), 2014; Kerber & Sagraloff, ISSAC 2011): a secant
@@ -31,16 +37,18 @@ precision only where an error bound certifies it, and in integers otherwise.
    (a, s) for (a/2^s, (a+1)/2^s), and the tolerance is read once as the
    depth s at which they stop.
 
-Only the final reported minimizer is rounded to a float; candidate values are
+Each bracket's candidate value, I at its midpoint, is computed as soon as the
+bracket is refined, so that it can drop nodes at once.  Candidate values are
 exact rationals from the same integer evaluation, compared with ties broken
-toward smaller p.
+toward smaller p, and only the final reported minimizer is rounded to a float.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import comb, lcm
 from operator import add, mul, ne
 from typing import NamedTuple, Optional, Sequence
 
@@ -62,6 +70,10 @@ class MinimizationResult(NamedTuple):
     tie: bool = False  # another critical point attained exactly the same value
 
 
+# (I's value, the point, the bracket around it, or None at 0 and 1)
+_Candidate = tuple[Fraction, Fraction, Optional[tuple[Fraction, Fraction]]]
+
+
 class AsymptoticOptimum(NamedTuple):
     """Large-target limit of the minimizing bias, determined by t = alpha/beta."""
 
@@ -73,9 +85,11 @@ class AsymptoticOptimum(NamedTuple):
 def minimize_advantage(params: GameParams, tol: float = 1e-9) -> MinimizationResult:
     """Global minimizer of the advantage polynomial on [0, 1].
 
-    Every critical point in (0, 1) is bracketed to width ``tol`` and the
-    advantage is compared exactly at all bracket midpoints and both
-    endpoints.  Degenerate games (advantage identically 1) short-circuit.
+    Every critical point in (0, 1) that may hold the minimum is bracketed to
+    width ``tol``, and the advantage is compared exactly at those bracket
+    midpoints and both endpoints; a part of (0, 1) where a certified lower
+    bound exceeds a value already seen is skipped.  Degenerate games
+    (advantage identically 1) short-circuit.
 
     ``tol`` bounds the bracket width, so ``bias`` (the chosen bracket's
     midpoint) lies within tol/2 of a critical point and ``value`` is the
@@ -114,15 +128,11 @@ def _minimize(adv: AdvantageResult, tol: float) -> MinimizationResult:
     c = adv.homogeneous
     d = len(c) - 1
     slopes = [(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)]
-    brackets = _isolate(list(adv.poly.derivative().coeffs), slopes, tol)
     coeffs = adv.poly.coeffs
-    candidates: list[tuple[Fraction, Fraction, Optional[tuple[Fraction, Fraction]]]] = [
-        (_value_at(coeffs, Fraction(0)), Fraction(0), None),
-        (_value_at(coeffs, Fraction(1)), Fraction(1), None),
+    candidates: list[_Candidate] = [
+        (_value_at(coeffs, Fraction(p)), Fraction(p), None) for p in (0, 1)
     ]
-    for lo, hi in brackets:
-        point = (lo + hi) / 2
-        candidates.append((_value_at(coeffs, point), point, (lo, hi)))
+    _isolate(list(adv.poly.derivative().coeffs), slopes, tol, (coeffs, candidates))
     best_value, best_point, best_bracket = min(candidates, key=lambda c: (c[0], c[1]))
     if best_bracket is None:
         raise ConsistencyError(
@@ -214,7 +224,10 @@ _BITS = 96  # a split's inputs are floor-truncated to this many bits
 
 
 def _isolate(
-    monomial: list[int], homogeneous: list[int], tol: float | Fraction
+    monomial: list[int],
+    homogeneous: list[int],
+    tol: float | Fraction,
+    minimum: Optional[tuple[Sequence[int], list[_Candidate]]] = None,
 ) -> list[tuple[Fraction, Fraction]]:
     """Brackets of width <= tol of the roots in (0, 1) of one polynomial.
 
@@ -231,37 +244,118 @@ def _isolate(
     Splits run on coefficients truncated to ``_BITS`` bits (see ``_split``).  A
     node whose bound leaves a sign open, a zero included, is rebuilt exactly,
     so every decision, and so every bracket, is the exact one.
+
+    ``minimum``, which only ``_minimize`` passes, turns the search into branch
+    and bound for the least value of a polynomial I whose derivative this one
+    is.  It is (I's monomial coefficients, candidates), a list of (value,
+    point, bracket) that already holds I at 0 and 1, and each bracket is
+    appended to it with I at its midpoint as soon as it is found.  A node whose
+    lower bound on I (``_lower_bound``) exceeds U, the least exact value of I
+    seen so far at candidates and split midpoints, is dropped with its subtree:
+    I is above U there, so it holds no minimizer and no tie.  Of two children,
+    the one with the smaller bound is searched first, so the minimum's bracket
+    lowers U early.  A kept node is reached by the same splits as without
+    bounds, so it gives the same brackets.
     """
     b = _bernstein(homogeneous)
     if len(b) <= 1:
         return []
     depth = _depth(tol)
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(b, 0, 0, 0)]
+    # a node's bound is (its lower bound, I at its left end, scale, factors); see _lower_bound
+    bound = None
+    if minimum is not None:
+        integral, candidates = minimum
+        best = min(value for value, _, _ in candidates)
+        j = next(i for i, c in enumerate(homogeneous) if c)
+        factors = ((0, 0, 1),) * j + ((1, 0, -1),) * (len(homogeneous) - len(b) - j)  # p, 1-p
+        scale = Fraction(b[0], homogeneous[j])  # _bernstein's factor, as C(d, 0) = 1
+        at_lo = _value_at(integral, Fraction(0))
+        bound = (_lower_bound(b, 0, 0, at_lo, scale, factors), at_lo, scale, factors)
+
+    def found(lo: Fraction, hi: Fraction) -> None:
+        nonlocal best
+        out.append((lo, hi))
+        if minimum is not None:
+            point = (lo + hi) / 2
+            value = _value_at(integral, point)
+            candidates.append((value, point, (lo, hi)))
+            best = min(best, value)
+
+    stack = [(b, 0, 0, 0, bound)]
     while stack:
-        x, err, a, s = stack.pop()
+        x, err, a, s, bound = stack.pop()
+        if bound:
+            low, at_lo, scale, factors = bound
+            if low > best:
+                continue
         if not _certain(x, err):
-            x, err = _replay(b, a, s), 0
+            x, err, bound = _replay(b, a, s), 0, None  # its subtree is searched whole
         if not (x[0] and x[-1]):  # a root at the midpoint this node was cut at
             if not x[0]:  # the right child reports it, the left one only deflates
                 mid = Fraction(a, 1 << s)
-                out.append((mid, mid))
-            x = _deflate(x)
+                found(mid, mid)
+            y = _deflate(x)
+            if bound:  # the root is a factor t or 1 - t, nonnegative below this node
+                z0 = next(i for i, v in enumerate(x) if v)
+                z1 = len(x) - len(y) - z0
+                scale *= Fraction(y[0], x[z0] * comb(len(x) - 1, z0))
+                factors += ((a, s, 1),) * z0 + ((a + 1, s, -1),) * z1
+            x = y
         v = _sign_variations(x)
         if v == 0:
             continue
         if v == 1:
-            out.append(_bisect(monomial, x, a, s, depth))
+            found(*_bisect(monomial, x, a, s, depth))
             continue
         if s >= depth:
-            out.append((Fraction(a, 1 << s), Fraction(a + 1, 1 << s)))
+            found(Fraction(a, 1 << s), Fraction(a + 1, 1 << s))
             continue
-        x, err = _truncate(x, err)
+        x, err, k = _truncate(x, err)
         left, right = _split(x)
-        err <<= len(x) - 1
-        stack.append((left, err, 2 * a, s + 1))
-        stack.append((right, err, 2 * a + 1, s + 1))
+        n = len(x) - 1
+        err <<= n
+        children = [(left, err, 2 * a, s + 1, None), (right, err, 2 * a + 1, s + 1, None)]
+        if bound:
+            scale *= Fraction(1 << n, 1 << k)
+            at_mid = _value_at(integral, Fraction(2 * a + 1, 2 << s))
+            best = min(best, at_mid)
+            low_left = _lower_bound(left, 2 * a, s + 1, at_lo, scale, factors)
+            low_right = _lower_bound(right, 2 * a + 1, s + 1, at_mid, scale, factors)
+            children = [
+                (left, err, 2 * a, s + 1, (low_left, at_lo, scale, factors)),
+                (right, err, 2 * a + 1, s + 1, (low_right, at_mid, scale, factors)),
+            ]
+            if low_left < low_right:  # the smaller bound pops first
+                children.reverse()
+        stack += children
     return sorted(out)
+
+
+def _lower_bound(
+    x: list[int], a: int, s: int, at_lo: Fraction, scale: Fraction, factors: tuple
+) -> Fraction:
+    """A lower bound of I on node (a, s), from I(a/2^s) and I' on the node.
+
+    There I' is the product of ``factors`` and sum_j x_j B_j(t) / scale, with
+    t = 2^s p - a, B_j the Bernstein basis of degree len(x) - 1, and each x_j
+    at most its true value.  A factor (r, q, sign) is sign (2^q p - r), a root
+    of I' taken out at 0, 1 or a split midpoint, and it is nonnegative on the
+    node.  Multiplying one in from its values at the node's ends keeps the
+    weights on the x_j nonnegative, so the product's coefficients g_0, ...,
+    g_(D-1) are lower bounds too.  Integrating gives I's Bernstein coefficients
+    of degree D on the node, I(a/2^s) + (g_0 + ... + g_(i-1)) / (2^s D scale)
+    for i = 0, ..., D, and I is nowhere below the least of them (Lane &
+    Riesenfeld, BIT 21, 1981).
+    """
+    g = x
+    for r, q, sign in factors:
+        u = sign * (a - (r << s - q))  # the factor at the node's left end, times 2^(s-q)
+        n = len(g)
+        g = [(n - k) * u * v + k * (u + sign) * w for k, (v, w) in enumerate(zip(g + [0], [0] + g))]
+        scale *= n << s - q
+    low = min(0, min(accumulate(g)))
+    return at_lo + low / (scale * (len(g) << s)) if low else at_lo
 
 
 def _bernstein(c: list[int]) -> list[int]:
@@ -301,12 +395,12 @@ def _certain(x: list[int], err: int) -> bool:
     return not err or all(v > 0 or v + err <= 0 for v in x)
 
 
-def _truncate(x: list[int], err: int) -> tuple[list[int], int]:
-    """x floored by 2^k to ``_BITS`` bits, with the bound 1 + ceil(err / 2^k) it then has."""
+def _truncate(x: list[int], err: int) -> tuple[list[int], int, int]:
+    """x floored by 2^k to ``_BITS`` bits, the bound 1 + ceil(err / 2^k) it then has, and k."""
     k = max(max(x), -min(x)).bit_length() - _BITS
     if k <= 0:
-        return x, err
-    return [v >> k for v in x], 1 + (-(-err >> k))
+        return x, err, 0
+    return [v >> k for v in x], 1 + (-(-err >> k)), k
 
 
 def _split(b: list[int]) -> tuple[list[int], list[int]]:

@@ -98,11 +98,16 @@ class Poly:
     __rmul__ = __mul__
 
     def __call__(self, x: int | Fraction) -> Fraction:
-        """Exact value at ``x`` (Horner evaluation)."""
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at ``x`` = u/v: sum_i c_i u^i v^(D-i) by integer Horner, over v^D once."""
+        cs = self._coeffs
+        if not cs:
+            return Fraction(0)
+        u, v = x.numerator, x.denominator
+        acc, scale = cs[-1], 1
+        for c in reversed(cs[:-1]):
+            scale *= v
+            acc = acc * u + c * scale
+        return Fraction(acc, scale)
 
     def derivative(self) -> Poly:
         return Poly(i * c for i, c in enumerate(self._coeffs) if i)

@@ -555,6 +555,137 @@ def test_deep_refinement_makes_few_exact_evaluations(monkeypatch):
     assert len(values) <= 100, len(values)
 
 
+# --- branch and bound: the lower bound on I, checked against plain exact code --
+
+from coinrace.minimize import MinimizationResult
+
+
+def minimize_without_bounds(adv, tol):
+    """The reference for _minimize: every bracket of I', then I at each midpoint."""
+    c = adv.homogeneous
+    d = len(c) - 1
+    slopes = [(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)]
+    brackets = _isolate(list(adv.poly.derivative().coeffs), slopes, Fraction(tol))
+    candidates = [(adv.poly(Fraction(p)), Fraction(p), None) for p in (0, 1)]
+    candidates += [(adv.poly((lo + hi) / 2), (lo + hi) / 2, (lo, hi)) for lo, hi in brackets]
+    value, point, bracket = min(candidates, key=lambda c: (c[0], c[1]))
+    tie = [v for v, _, _ in candidates].count(value) > 1
+    return MinimizationResult(False, float(point), float(value), value, bracket, tol, tie)
+
+
+def synthetic_advantage(coeffs, degree):
+    """A stand-in AdvantageResult for the polynomial coeffs, in a homogeneous basis of degree."""
+    return advantage_polynomial(GameParams(5, 1, 1))._replace(
+        poly=Poly(coeffs), homogeneous=tuple(to_homogeneous(coeffs, degree))
+    )
+
+
+def bernstein_minimum_on_node(adv, a, s):
+    """The least Bernstein coefficient of degree len(homogeneous) - 1 of I on (a/2^s, (a+1)/2^s).
+
+    I(a/2^s + t/2^s) 2^(s deg) = sum_i c_i (a + t)^i 2^(s (deg - i)), by Horner in t,
+    then the homogeneous basis in t; shares no code with _split or _lower_bound.
+    """
+    coeffs = adv.poly.coeffs
+    deg = len(coeffs) - 1
+    shifted = Poly()
+    for i in range(deg, -1, -1):
+        shifted = shifted * Poly((a, 1)) + (coeffs[i] << s * (deg - i))
+    degree = len(adv.homogeneous) - 1
+    h = to_homogeneous(list(shifted.coeffs), degree)
+    return min(Fraction(x, math.comb(degree, j) << s * deg) for j, x in enumerate(h))
+
+
+# I = 2u^6 - 15u^4 + 24u^2 + 32 with u = 8p - 4 is symmetric about 1/2, and
+# I' = 12u (u^2 - 1)(u^2 - 4): equal minima 16 at p = 1/4 and 3/4, a local
+# minimum 32 at 1/2 and maxima at 3/8 and 5/8
+U2 = Poly((-4, 8)) * Poly((-4, 8))
+TWIN_MINIMA = list((2 * U2 * U2 * U2 - 15 * U2 * U2 + 24 * U2 + 32).coeffs)
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+def test_equal_minima_are_both_refined_and_reported_as_a_tie(monkeypatch, degree):
+    # The split at 3/4 sets U = 16, and the node (3/4, 1) has a lower bound of
+    # exactly 16: I rises from 3/4, so its least Bernstein coefficient is I(3/4).
+    # Only a strict comparison keeps that node, and with it the tie.
+    adv = synthetic_advantage(TWIN_MINIMA, degree)
+    found = []
+    real = minimize_module._isolate
+
+    def recording(monomial, homogeneous, tol, minimum):
+        brackets = real(monomial, homogeneous, tol, minimum)
+        found.extend(minimum[1])
+        return brackets
+
+    lower_bound = minimize_module._lower_bound
+    bounds = record_calls(monkeypatch, "_lower_bound")
+    monkeypatch.setattr(minimize_module, "_isolate", recording)
+    result = minimize_module._minimize(adv, 1e-9)
+    quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
+    assert result.tie is True
+    assert result.value_exact == 16 and result.bracket == (quarter, quarter)
+    assert (16, quarter, (quarter, quarter)) in found
+    assert (16, three_quarters, (three_quarters, three_quarters)) in found
+    assert result == minimize_without_bounds(adv, 1e-9)
+    three_quarters_to_one = [args for args in bounds if args[1:3] == (3, 2)]
+    assert [lower_bound(*args) for args in three_quarters_to_one] == [16]
+
+
+IDENTITY_GAMES = sorted(
+    set(
+        random.Random(20261019).sample(
+            [(n, a, b) for n in range(1, 41) for a in range(1, 5) for b in range(1, 5)], 160
+        )
+    )
+    | {(2, 1, 1), (3, 2, 1), (5, 1, 1), (15, 1, 1), (99, 1, 1), (150, 2, 3), (90, 1, 2)}
+)
+
+
+def test_pruned_search_equals_the_unpruned_reference(monkeypatch):
+    # (2, 1, 1) and (3, 2, 1) have exact dyadic minimizers; (5, 1, 1), (15, 1, 1)
+    # and (99, 1, 1) have I'(1) = 0 taken out as a factor 1 - p at the root
+    advs = [advantage_polynomial(GameParams(*game)) for game in IDENTITY_GAMES]
+    advs = [adv for adv in advs if not adv.degenerate]
+    cases = [(adv, tol) for adv in advs for tol in (1e-9, 2.0**-60)]
+    splits = record_calls(monkeypatch, "_split")
+    pruned = [minimize_module._minimize(adv, tol) for adv, tol in cases]
+    pruned_splits = len(splits)
+    splits.clear()
+    assert [minimize_without_bounds(adv, tol) for adv, tol in cases] == pruned
+    assert pruned_splits < len(splits) * 0.8  # the bound really skips work
+    assert sum(1 for adv in advs if not all(slope_ends(adv))) >= 40
+
+
+def slope_ends(adv):
+    """I'(0) and I'(1), up to positive factors: a zero is a factor p or 1 - p taken out at the root."""
+    c = adv.homogeneous
+    d = len(c) - 1
+    return c[1] - d * c[0], d * c[d] - c[d - 1]
+
+
+def test_every_lower_bound_is_at_most_the_least_bernstein_coefficient(monkeypatch):
+    # Where no split was truncated the bound is that least coefficient itself,
+    # which checks its scale and the factors taken out at 0, 1 and midpoints.
+    games = [(n, a, b) for n in range(1, 41) for a in range(1, 5) for b in range(1, 5)]
+    advs = [advantage_polynomial(GameParams(*game)) for game in games]
+    advs.append(synthetic_advantage(TWIN_MINIMA, 6))  # its midpoint roots are factors
+    lower_bound = minimize_module._lower_bound
+    bounds = record_calls(monkeypatch, "_lower_bound")
+    checked = exact = factored = 0
+    for adv in advs:
+        bounds.clear()
+        minimize_module._minimize(adv, 1e-9)
+        for args in bounds:
+            _, a, s, _, _, factors = args
+            low = lower_bound(*args)
+            least = bernstein_minimum_on_node(adv, a, s)
+            assert low <= least, (adv.params, a, s)
+            checked += 1
+            exact += low == least
+            factored += any(q for _, q, _ in factors)  # a root taken out at a midpoint
+    assert checked > 1900 and exact > 0.9 * checked and factored == 4
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
 def test_tol_must_be_finite(tol):
     with pytest.raises(ParameterError, match="finite"):

@@ -171,6 +171,38 @@ def ref_eval(a, x):
     return sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
 
 
+def fraction_horner(coeffs, x):
+    """Horner's rule in Fractions, the reference for Poly's integer evaluation."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+eval_points = st.one_of(
+    st.fractions(max_denominator=10**6),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-7, 3)]),
+)
+eval_coeffs = st.one_of(
+    st.lists(st.integers(-(10**40), 10**40), max_size=20),
+    st.lists(st.just(0), max_size=4),  # the zero polynomial, however written
+)
+
+
+@settings(max_examples=300)
+@given(eval_coeffs, eval_points)
+def test_integer_horner_matches_fraction_horner(coeffs, x):
+    value = Poly(coeffs)(x)
+    assert type(value) is Fraction and value == fraction_horner(coeffs, x)
+
+
+def test_zero_and_constant_polynomials_evaluate_to_fractions():
+    for x in (0, 1, -5, Fraction(2, 3)):
+        assert type(ZERO(x)) is Fraction and ZERO(x) == 0
+        assert type(Poly((-4,))(x)) is Fraction and Poly((-4,))(x) == -4
+
+
 def ref_render(a, latex):
     terms = []
     for power, c in enumerate(a):
