@@ -1,11 +1,12 @@
 """Command-line surface: compute, minimize, simulate, verify, reproduce tables.
 
 Exit codes: 0 on success, 1 when verification finds a mismatch, 2 on usage or
-parameter-domain errors and when a game is too large for memory, 141 when
-stdout is closed early (128 + SIGPIPE).  Results go to stdout, diagnostics to
-stderr.  Rational arguments accept "a", "a/b" or finite decimals ("3/2" ==
-"1.5").  The argument parser is built on the first ``main()`` call and reused
-by every later call in the process.
+parameter-domain errors and when a game is too large for memory or for
+Python's integer and list sizes, 141 when stdout is closed early (128 +
+SIGPIPE).  Results go to stdout, diagnostics to stderr.  Rational arguments
+accept "a", "a/b" or finite decimals ("3/2" == "1.5").  The argument parser is
+built on the first ``main()`` call and reused by every later call in the
+process.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory: this game is too large for this machine", file=sys.stderr)
+        return 2
+    except OverflowError:  # a shift or a list size past what Python can represent
+        print("error: this game is too large to compute", file=sys.stderr)
         return 2
 
 
@@ -204,6 +208,8 @@ def _cmd_simulate(args) -> Report:
     if args.at_pstar:
         r = simulate_at_pstar(params, args.trials, args.seed, args.workers)
     else:
+        if not 0 <= args.p <= 1:  # before float(), which overflows on 1e400
+            raise ParameterError("p must be in [0, 1]")
         config = SimConfig(
             params=params, p=float(args.p), trials=args.trials, seed=args.seed, workers=args.workers
         )

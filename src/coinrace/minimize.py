@@ -16,12 +16,15 @@ precision only where an error bound certifies it, and in integers otherwise.
    multiplicity, with an even excess.  No Taylor shift is needed: 0
    variations prove a node rootless, 1 proves one simple root, and otherwise
    one de Casteljau triangle splits the node in two (unimodality is never
-   assumed).  A node that still shows two or more variations once it is no
-   wider than the requested tolerance is kept whole as one bracket: a
-   multiple root, or roots closer than the tolerance, end there.  Splits run
-   on coefficients floor-truncated to 96 bits with an exact error bound
-   (Rouillier & Zimmermann, J. Comput. Appl. Math. 162, 2004; Eigenwillig et
-   al., CASC 2005), and a node whose bound leaves a sign open is redone exactly.
+   assumed).  A root at 0, 1 or a split midpoint shows as zero end
+   coefficients of the nodes it bounds, and signs are read past them, so no
+   root is divided out and every node keeps the coefficients of I' itself.
+   A node that still shows two or more variations once it is no wider than
+   the requested tolerance is kept whole as one bracket: a multiple root, or
+   roots closer than the tolerance, end there.  Splits run on coefficients
+   floor-truncated to 96 bits with an exact error bound (Rouillier &
+   Zimmermann, J. Comput. Appl. Math. 162, 2004; Eigenwillig et al., CASC
+   2005), and a node whose bound leaves a sign open is redone exactly.
    The search is branch and bound.  I's Bernstein coefficients on a node are
    I at its left end plus prefix sums of the node's coefficients of I', and I
    is nowhere below the least of them (Lane & Riesenfeld, BIT 21, 1981).  A
@@ -48,8 +51,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
-from operator import add, mul, ne
+from math import lcm
+from operator import add, ne
 from typing import NamedTuple, Optional, Sequence
 
 from .advantage import AdvantageResult, advantage_polynomial
@@ -211,13 +214,13 @@ def _at_limit_bias(adv: AdvantageResult) -> float:
 # ---------------------------------------------------------------------------
 # Root isolation of an integer polynomial on (0, 1), in the (p, 1-p) basis.
 #
-# A work item (x, err, a, s) holds the Bernstein coefficients of the
-# polynomial on (a/2^s, (a+1)/2^s), rescaled to (0, 1): up to a positive factor
-# they are x_j + eps_j with 0 <= eps_j < err, exact when err = 0.  Zeros at 0
-# and 1 are stripped off at the start, and a zero at a split midpoint by both
-# children, as factors p or 1-p, so no node is split or bisected while it
-# vanishes at an end of its interval: x_0 and x_d have the signs just inside
-# its ends, which bisection starts from.
+# A work item (x, err, a, s, zl, zr, bound) holds the Bernstein coefficients of
+# the polynomial on (a/2^s, (a+1)/2^s), rescaled to (0, 1): up to a positive
+# factor they are x_j + eps_j with 0 <= eps_j < err, exact when err = 0.  The
+# first zl and last zr of them are exact zeros, its roots at the node's ends,
+# and every sign is read between them: x[zl] and x[-1-zr] have the signs just
+# inside the node's ends, which bisection starts from.  An exact node counts
+# its zeros, and a truncated child inherits them from its parent's uncut side.
 # ---------------------------------------------------------------------------
 
 _BITS = 96  # a split's inputs are floor-truncated to this many bits
@@ -238,12 +241,14 @@ def _isolate(
     width <= tol is reported whole: by the two-circle theorem (Krandick &
     Mehlhorn, JSC 2006) at least two roots, counted with multiplicity, lie
     near it -- a multiple root, real roots closer than tol, or a complex pair
-    within about tol of the interval.  ``tol`` is read once, as the integer
-    depth max(0, ceil(log2(1/tol))) at which nodes and bisection stop.
+    within about tol of the interval.  A root at a split midpoint is reported
+    as (mid, mid) by the node whose left end it is.  ``tol`` is read once, as
+    the integer depth max(0, ceil(log2(1/tol))) at which nodes and bisection
+    stop.
 
     Splits run on coefficients truncated to ``_BITS`` bits (see ``_split``).  A
-    node whose bound leaves a sign open, a zero included, is rebuilt exactly,
-    so every decision, and so every bracket, is the exact one.
+    node whose bound leaves a sign open, a zero on a cut side included, is
+    rebuilt exactly, so every decision, and so every bracket, is the exact one.
 
     ``minimum``, which only ``_minimize`` passes, turns the search into branch
     and bound for the least value of a polynomial I whose derivative this one
@@ -257,21 +262,18 @@ def _isolate(
     lowers U early.  A kept node is reached by the same splits as without
     bounds, so it gives the same brackets.
     """
-    b = _bernstein(homogeneous)
-    if len(b) <= 1:
+    b, scale = _bernstein(homogeneous)
+    if not any(b):
         return []
     depth = _depth(tol)
     out: list[tuple[Fraction, Fraction]] = []
-    # a node's bound is (its lower bound, I at its left end, scale, factors); see _lower_bound
+    # a node's bound is (its lower bound, I at its left end, scale); see _lower_bound
     bound = None
     if minimum is not None:
         integral, candidates = minimum
         best = min(value for value, _, _ in candidates)
-        j = next(i for i, c in enumerate(homogeneous) if c)
-        factors = ((0, 0, 1),) * j + ((1, 0, -1),) * (len(homogeneous) - len(b) - j)  # p, 1-p
-        scale = Fraction(b[0], homogeneous[j])  # _bernstein's factor, as C(d, 0) = 1
         at_lo = _value_at(integral, Fraction(0))
-        bound = (_lower_bound(b, 0, 0, at_lo, scale, factors), at_lo, scale, factors)
+        bound = (_lower_bound(b, 0, at_lo, scale), at_lo, scale)
 
     def found(lo: Fraction, hi: Fraction) -> None:
         nonlocal best
@@ -282,31 +284,26 @@ def _isolate(
             candidates.append((value, point, (lo, hi)))
             best = min(best, value)
 
-    stack = [(b, 0, 0, 0, bound)]
+    stack = [(b, 0, 0, 0, 0, 0, bound)]
     while stack:
-        x, err, a, s, bound = stack.pop()
+        x, err, a, s, zl, zr, bound = stack.pop()
         if bound:
-            low, at_lo, scale, factors = bound
+            low, at_lo, scale = bound
             if low > best:
                 continue
-        if not _certain(x, err):
+        if not _certain(x[zl : len(x) - zr], err):
             x, err, bound = _replay(b, a, s), 0, None  # its subtree is searched whole
-        if not (x[0] and x[-1]):  # a root at the midpoint this node was cut at
-            if not x[0]:  # the right child reports it, the left one only deflates
+        if not err:
+            zl = next(i for i, v in enumerate(x) if v)
+            zr = next(i for i, v in enumerate(reversed(x)) if v)
+            if zl and a & 1:  # a root at the midpoint this node was cut at
                 mid = Fraction(a, 1 << s)
                 found(mid, mid)
-            y = _deflate(x)
-            if bound:  # the root is a factor t or 1 - t, nonnegative below this node
-                z0 = next(i for i, v in enumerate(x) if v)
-                z1 = len(x) - len(y) - z0
-                scale *= Fraction(y[0], x[z0] * comb(len(x) - 1, z0))
-                factors += ((a, s, 1),) * z0 + ((a + 1, s, -1),) * z1
-            x = y
         v = _sign_variations(x)
         if v == 0:
             continue
         if v == 1:
-            found(*_bisect(monomial, x, a, s, depth))
+            found(*_bisect(monomial, x[zl : len(x) - zr], a, s, depth))
             continue
         if s >= depth:
             found(Fraction(a, 1 << s), Fraction(a + 1, 1 << s))
@@ -315,71 +312,46 @@ def _isolate(
         left, right = _split(x)
         n = len(x) - 1
         err <<= n
-        children = [(left, err, 2 * a, s + 1, None), (right, err, 2 * a + 1, s + 1, None)]
+        left_bound = right_bound = None
         if bound:
             scale *= Fraction(1 << n, 1 << k)
             at_mid = _value_at(integral, Fraction(2 * a + 1, 2 << s))
             best = min(best, at_mid)
-            low_left = _lower_bound(left, 2 * a, s + 1, at_lo, scale, factors)
-            low_right = _lower_bound(right, 2 * a + 1, s + 1, at_mid, scale, factors)
-            children = [
-                (left, err, 2 * a, s + 1, (low_left, at_lo, scale, factors)),
-                (right, err, 2 * a + 1, s + 1, (low_right, at_mid, scale, factors)),
-            ]
-            if low_left < low_right:  # the smaller bound pops first
-                children.reverse()
+            left_bound = (_lower_bound(left, s + 1, at_lo, scale), at_lo, scale)
+            right_bound = (_lower_bound(right, s + 1, at_mid, scale), at_mid, scale)
+        children = [
+            (left, err, 2 * a, s + 1, zl, 0, left_bound),
+            (right, err, 2 * a + 1, s + 1, 0, zr, right_bound),
+        ]
+        if bound and left_bound[0] < right_bound[0]:  # the smaller bound pops first
+            children.reverse()
         stack += children
     return sorted(out)
 
 
-def _lower_bound(
-    x: list[int], a: int, s: int, at_lo: Fraction, scale: Fraction, factors: tuple
-) -> Fraction:
-    """A lower bound of I on node (a, s), from I(a/2^s) and I' on the node.
+def _lower_bound(x: list[int], s: int, at_lo: Fraction, scale: Fraction) -> Fraction:
+    """A lower bound of I on a node of width 2^-s, from I at its left end and I' on it.
 
-    There I' is the product of ``factors`` and sum_j x_j B_j(t) / scale, with
-    t = 2^s p - a, B_j the Bernstein basis of degree len(x) - 1, and each x_j
-    at most its true value.  A factor (r, q, sign) is sign (2^q p - r), a root
-    of I' taken out at 0, 1 or a split midpoint, and it is nonnegative on the
-    node.  Multiplying one in from its values at the node's ends keeps the
-    weights on the x_j nonnegative, so the product's coefficients g_0, ...,
-    g_(D-1) are lower bounds too.  Integrating gives I's Bernstein coefficients
-    of degree D on the node, I(a/2^s) + (g_0 + ... + g_(i-1)) / (2^s D scale)
-    for i = 0, ..., D, and I is nowhere below the least of them (Lane &
+    There I' is sum_j x_j B_j(t) / scale, with t running over (0, 1) across
+    the node, B_j the Bernstein basis of degree D - 1, D = len(x), and each
+    x_j at most its true value.  Integrating gives I's Bernstein coefficients
+    of degree D on the node, I(lo) + (x_0 + ... + x_(i-1)) / (2^s D scale) for
+    i = 0, ..., D, and I is nowhere below the least of them (Lane &
     Riesenfeld, BIT 21, 1981).
     """
-    g = x
-    for r, q, sign in factors:
-        u = sign * (a - (r << s - q))  # the factor at the node's left end, times 2^(s-q)
-        n = len(g)
-        g = [(n - k) * u * v + k * (u + sign) * w for k, (v, w) in enumerate(zip(g + [0], [0] + g))]
-        scale *= n << s - q
-    low = min(0, min(accumulate(g)))
-    return at_lo + low / (scale * (len(g) << s)) if low else at_lo
+    low = min(0, min(accumulate(x)))
+    return at_lo + Fraction(low, scale * (len(x) << s)) if low else at_lo
 
 
-def _bernstein(c: list[int]) -> list[int]:
-    """Integer Bernstein coefficients of homogeneous c, zero ends stripped.
+def _bernstein(c: list[int]) -> tuple[list[int], int]:
+    """Integer Bernstein coefficients of homogeneous c, and the factor they carry.
 
-    Each zero end coefficient is a factor p or 1-p.  The rest are divided by
-    C(d, j) after scaling by lcm_j C(d, j) = lcm(1, ..., d+1) / (d+1).
+    The factor is lcm_j C(d, j) = lcm(1, ..., d+1) / (d+1): each c_j is scaled
+    by it and divided by C(d, j).
     """
-    lo, hi = 0, len(c)
-    while lo < hi and c[lo] == 0:
-        lo += 1
-    while hi > lo and c[hi - 1] == 0:
-        hi -= 1
-    c = c[lo:hi]
     d = len(c) - 1
-    if d <= 0:
-        return c
     scale = lcm(*range(1, d + 2)) // (d + 1)
-    return [x * (scale // binom) for x, binom in zip(c, _binomials(d))]
-
-
-def _deflate(b: list[int]) -> list[int]:
-    """Bernstein coefficients with the zero ends (roots at 0 or 1) divided out."""
-    return _bernstein(list(map(mul, b, _binomials(len(b) - 1))))
+    return [x * (scale // binom) for x, binom in zip(c, _binomials(d))], scale
 
 
 def _binomials(d: int) -> list[int]:
@@ -424,13 +396,8 @@ def _split(b: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _replay(b: list[int], a: int, s: int) -> list[int]:
-    """Exact coefficients of node (a, s), by exact splits down from the root's b.
-
-    An ancestor with a zero end is deflated first, as ``_isolate`` deflated it.
-    """
+    """Exact coefficients of node (a, s), by exact splits down from the root's b."""
     for level in range(s - 1, -1, -1):
-        if not (b[0] and b[-1]):
-            b = _deflate(b)
         left, right = _split(b)
         b = right if a >> level & 1 else left
     return b

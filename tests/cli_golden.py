@@ -31,6 +31,7 @@ CASES = [
     (None, ["pmf", "--n", "5", "--alpha", "1", "--beta", "1"]),
     (None, ["minimize", "--n", "5", "--alpha", "1", "--beta", "1"]),
     (None, ["minimize", "--n", "2", "--alpha", "2", "--beta", "1"]),
+    (None, ["minimize", "--n", "4", "--alpha", "1", "--beta", "1"]),  # I'(1/2) = 0
     (None, ["pstar", "--alpha", "2", "--beta", "3"]),
     (None, ["simulate", "--n", "5", "--alpha", "1", "--beta", "1", "--p", "1/3",
             "--trials", "50", "--seed", "1"]),
@@ -48,6 +49,9 @@ CASES = [
     (None, ["minimize", "--n", "5", "--alpha", "1", "--beta", "1", "--tol", "nan"]),
     (None, ["verify", "--max-n", "0"]),
     (None, ["poly", "--n", "5", "--alpha", "0", "--beta", "1"]),
+    (None, ["poly", "--n", "1e19", "--alpha", "1", "--beta", "1"]),
+    (None, ["simulate", "--n", "5", "--alpha", "1", "--beta", "1", "--p", "1e400",
+            "--trials", "10"]),
     ("corrupt-builder", ["verify", "--max-n", "4", "--max-alpha", "1", "--max-beta", "1"]),
     ("oracle-cap-3", ["verify", "--max-n", "5", "--max-alpha", "1", "--max-beta", "1"]),
 ]

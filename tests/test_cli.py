@@ -61,6 +61,15 @@ def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
     assert err.splitlines() == ["error: out of memory: this game is too large for this machine"]
 
 
+@pytest.mark.parametrize("command,n", [("poly", "1e19"), ("minimize", "1e400"), ("pmf", "1e400")])
+def test_a_game_past_pythons_int_and_list_sizes_exits_2_with_one_line(capsys, command, n):
+    # a shift count or a list size overflows at once, before memory runs out
+    code, out, err = run_cli(capsys, command, "--n", n, "--alpha", "1", "--beta", "1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: this game is too large to compute"]
+
+
 def test_poly_json_round_trip(capsys):
     code, out, _ = run_cli(
         capsys, "poly", "--n", "7", "--alpha", "2", "--beta", "3", "--format", "json"

@@ -331,8 +331,8 @@ def test_a_triple_root_gets_its_dyadic_node_whole():
 
 
 def test_roots_at_the_ends_and_a_double_dyadic_root_are_stripped():
-    # p, 1 - p and (p - 1/2)^2 come off as zero end coefficients: at the start,
-    # and on both halves of the first split.
+    # p, 1 - p and (p - 1/2)^2 show as zero end coefficients: at the root, and
+    # on both halves of the first split, where signs are read past them.
     half = Fraction(1, 2)
     poly = poly_with_roots([Fraction(0), Fraction(1), half, half, Fraction(2, 5)])
     brackets = isolate_unit_interval_roots(poly, Fraction(1, 10**9))
@@ -460,11 +460,11 @@ def test_a_midpoint_root_among_truncated_coefficients_is_settled_exactly(monkeyp
     assert sorted((a, s) for _, a, s in replays) == [(2, 3), (3, 3)]  # both halves of (1/4, 1/2)
 
 
-def test_a_replay_below_a_midpoint_root_deflates_it_as_the_loop_did(monkeypatch):
-    # 1/2 is a root, so both halves of (0, 1) deflate it, and the close pair to
-    # its right splits the right half again along its left edge.  A replay from
-    # the root must deflate those ancestors too, or each node on that edge would
-    # report 1/2 once more.
+def test_a_replay_below_a_midpoint_root_reports_it_once(monkeypatch):
+    # 1/2 is a root, so both halves of (0, 1) have a zero end there, and the
+    # close pair to its right splits the right half again along its left edge.
+    # Every replayed node on that edge counts the zero again, and only (1/2, 1)
+    # may report it, or 1/2 would come back once more.
     half, tol = Fraction(1, 2), Fraction(1, 10**9)
     dpoly = advantage_polynomial(GameParams(30, 1, 1)).poly.derivative()
     poly = dpoly * poly_with_roots([half, half + Fraction(1, 1000), half + Fraction(2, 1000)])
@@ -541,7 +541,7 @@ def test_refinement_matches_plain_halving(inside, others, depth):
     # every refinement decision is an exact sign, so at every depth the cell, or
     # the dyadic root itself, must be the reference's
     coeffs = list((inside * poly_with_roots(others)).coeffs)
-    x = minimize_module._bernstein(to_homogeneous(coeffs, len(coeffs) - 1))
+    x, _ = minimize_module._bernstein(to_homogeneous(coeffs, len(coeffs) - 1))
     expected = halve_to_depth(coeffs, x, 0, 0, depth)
     assert minimize_module._bisect(coeffs, x, 0, 0, depth) == expected
 
@@ -596,6 +596,38 @@ def bernstein_minimum_on_node(adv, a, s):
     return min(Fraction(x, math.comb(degree, j) << s * deg) for j, x in enumerate(h))
 
 
+def record_bounds_by_node(monkeypatch):
+    """A list that collects ((a, s), args) for each _lower_bound call, on node (a, s).
+
+    The root's bound follows I at 0, and a split's two bounds, the left child's
+    then the right one's, follow I at the split's midpoint m: the children are
+    (2^s m - 1, s) and (2^s m, s).
+    """
+    bounds, last = [], []
+    value_at, lower_bound = minimize_module._value_at, minimize_module._lower_bound
+
+    def value_recording(c, x):
+        last[:] = [x]
+        return value_at(c, x)
+
+    def bound_recording(*args):
+        s = args[1]
+        if s:
+            mid = last[0] * 2**s
+            assert mid.denominator == 1 and len(last) <= 2
+            a = int(mid) - (len(last) == 1)
+        else:
+            assert last == [0]
+            a = 0
+        last.append(a)
+        bounds.append(((a, s), args))
+        return lower_bound(*args)
+
+    monkeypatch.setattr(minimize_module, "_value_at", value_recording)
+    monkeypatch.setattr(minimize_module, "_lower_bound", bound_recording)
+    return bounds
+
+
 # I = 2u^6 - 15u^4 + 24u^2 + 32 with u = 8p - 4 is symmetric about 1/2, and
 # I' = 12u (u^2 - 1)(u^2 - 4): equal minima 16 at p = 1/4 and 3/4, a local
 # minimum 32 at 1/2 and maxima at 3/8 and 5/8
@@ -618,7 +650,7 @@ def test_equal_minima_are_both_refined_and_reported_as_a_tie(monkeypatch, degree
         return brackets
 
     lower_bound = minimize_module._lower_bound
-    bounds = record_calls(monkeypatch, "_lower_bound")
+    bounds = record_bounds_by_node(monkeypatch)
     monkeypatch.setattr(minimize_module, "_isolate", recording)
     result = minimize_module._minimize(adv, 1e-9)
     quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
@@ -627,7 +659,7 @@ def test_equal_minima_are_both_refined_and_reported_as_a_tie(monkeypatch, degree
     assert (16, quarter, (quarter, quarter)) in found
     assert (16, three_quarters, (three_quarters, three_quarters)) in found
     assert result == minimize_without_bounds(adv, 1e-9)
-    three_quarters_to_one = [args for args in bounds if args[1:3] == (3, 2)]
+    three_quarters_to_one = [args for node, args in bounds if node == (3, 2)]
     assert [lower_bound(*args) for args in three_quarters_to_one] == [16]
 
 
@@ -643,7 +675,7 @@ IDENTITY_GAMES = sorted(
 
 def test_pruned_search_equals_the_unpruned_reference(monkeypatch):
     # (2, 1, 1) and (3, 2, 1) have exact dyadic minimizers; (5, 1, 1), (15, 1, 1)
-    # and (99, 1, 1) have I'(1) = 0 taken out as a factor 1 - p at the root
+    # and (99, 1, 1) have I'(1) = 0, a zero end coefficient at the root
     advs = [advantage_polynomial(GameParams(*game)) for game in IDENTITY_GAMES]
     advs = [adv for adv in advs if not adv.degenerate]
     cases = [(adv, tol) for adv in advs for tol in (1e-9, 2.0**-60)]
@@ -657,33 +689,51 @@ def test_pruned_search_equals_the_unpruned_reference(monkeypatch):
 
 
 def slope_ends(adv):
-    """I'(0) and I'(1), up to positive factors: a zero is a factor p or 1 - p taken out at the root."""
+    """I'(0) and I'(1), up to positive factors: a zero is a zero end coefficient at the root."""
     c = adv.homogeneous
     d = len(c) - 1
     return c[1] - d * c[0], d * c[d] - c[d - 1]
 
 
+def test_truncated_children_inherit_their_parents_zero_ends(monkeypatch):
+    # I'(0) = 0 for the first two games and I'(1) = 0 for (99, 1, 1), and their
+    # splits are truncated.  A child that lost its parent's count of zero end
+    # coefficients would read those exact zeros as open signs and replay.
+    replays = record_calls(monkeypatch, "_replay")
+    truncations = record_calls(monkeypatch, "_truncate")
+    for game in [(150, 3, 1), (152, 2, 1)]:
+        adv = advantage_polynomial(GameParams(*game))
+        assert slope_ends(adv)[0] == 0
+        minimize_module._minimize(adv, 1e-9)
+    adv = advantage_polynomial(GameParams(99, 1, 1))
+    assert slope_ends(adv)[1] == 0
+    minimize_without_bounds(adv, 1e-9)
+    assert any(max(map(abs, x)).bit_length() > minimize_module._BITS for x, _ in truncations)
+    assert replays == []
+
+
 def test_every_lower_bound_is_at_most_the_least_bernstein_coefficient(monkeypatch):
     # Where no split was truncated the bound is that least coefficient itself,
-    # which checks its scale and the factors taken out at 0, 1 and midpoints.
+    # which checks its scale, also on nodes where I' vanishes at an end: at 0,
+    # 1 or a split midpoint.
     games = [(n, a, b) for n in range(1, 41) for a in range(1, 5) for b in range(1, 5)]
     advs = [advantage_polynomial(GameParams(*game)) for game in games]
-    advs.append(synthetic_advantage(TWIN_MINIMA, 6))  # its midpoint roots are factors
+    advs.append(synthetic_advantage(TWIN_MINIMA, 6))  # it has midpoint roots
     lower_bound = minimize_module._lower_bound
-    bounds = record_calls(monkeypatch, "_lower_bound")
-    checked = exact = factored = 0
+    bounds = record_bounds_by_node(monkeypatch)
+    checked = exact = zero_end = 0
     for adv in advs:
         bounds.clear()
         minimize_module._minimize(adv, 1e-9)
-        for args in bounds:
-            _, a, s, _, _, factors = args
+        slope = adv.poly.derivative()
+        for (a, s), args in bounds:
             low = lower_bound(*args)
             least = bernstein_minimum_on_node(adv, a, s)
             assert low <= least, (adv.params, a, s)
             checked += 1
             exact += low == least
-            factored += any(q for _, q, _ in factors)  # a root taken out at a midpoint
-    assert checked > 1900 and exact > 0.9 * checked and factored == 4
+            zero_end += slope(Fraction(a, 2**s)) * slope(Fraction(a + 1, 2**s)) == 0
+    assert checked > 1900 and exact > 0.9 * checked and zero_end > 0
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
