@@ -30,7 +30,9 @@ precision only where an error bound certifies it, and in integers otherwise.
    is nowhere below the least of them (Lane & Riesenfeld, BIT 21, 1981).  A
    node where that bound exceeds the least exact value of I seen so far holds
    no minimizer and no tie, so it is dropped with its subtree, and of two
-   children the one with the smaller bound goes first;
+   children the one with the smaller bound goes first.  A node redone
+   exactly keeps its bound.  Under I = 0 no bound exceeds 0, so the same
+   search keeps every root;
 3. shrink each bracket around one simple root to the requested width by
    quadratic interval refinement at dyadic rationals (Abbott, ACM Commun.
    Comput. Algebra 48(1), 2014; Kerber & Sagraloff, ISSAC 2011): a secant
@@ -131,11 +133,7 @@ def _minimize(adv: AdvantageResult, tol: float) -> MinimizationResult:
     c = adv.homogeneous
     d = len(c) - 1
     slopes = [(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)]
-    coeffs = adv.poly.coeffs
-    candidates: list[_Candidate] = [
-        (_value_at(coeffs, Fraction(p)), Fraction(p), None) for p in (0, 1)
-    ]
-    _isolate(list(adv.poly.derivative().coeffs), slopes, tol, (coeffs, candidates))
+    candidates = _isolate(list(adv.poly.derivative().coeffs), slopes, tol, adv.poly.coeffs)
     best_value, best_point, best_bracket = min(candidates, key=lambda c: (c[0], c[1]))
     if best_bracket is None:
         raise ConsistencyError(
@@ -214,85 +212,77 @@ def _at_limit_bias(adv: AdvantageResult) -> float:
 # ---------------------------------------------------------------------------
 # Root isolation of an integer polynomial on (0, 1), in the (p, 1-p) basis.
 #
-# A work item (x, err, a, s, zl, zr, bound) holds the Bernstein coefficients of
-# the polynomial on (a/2^s, (a+1)/2^s), rescaled to (0, 1): up to a positive
-# factor they are x_j + eps_j with 0 <= eps_j < err, exact when err = 0.  The
-# first zl and last zr of them are exact zeros, its roots at the node's ends,
-# and every sign is read between them: x[zl] and x[-1-zr] have the signs just
+# A work item (x, err, a, s, zl, zr, low, at_lo, scale) holds the Bernstein
+# coefficients of I' on (a/2^s, (a+1)/2^s), rescaled to (0, 1): they are
+# (x_j + eps_j) / scale with 0 <= eps_j < err, exact when err = 0.  The first
+# zl and last zr of them are exact zeros, its roots at the node's ends, and
+# every sign is read between them: x[zl] and x[-1-zr] have the signs just
 # inside the node's ends, which bisection starts from.  An exact node counts
 # its zeros, and a truncated child inherits them from its parent's uncut side.
+# low is a lower bound of I on the node and at_lo is I at its left end; see
+# _lower_bound.
 # ---------------------------------------------------------------------------
 
 _BITS = 96  # a split's inputs are floor-truncated to this many bits
 
 
 def _isolate(
-    monomial: list[int],
-    homogeneous: list[int],
-    tol: float | Fraction,
-    minimum: Optional[tuple[Sequence[int], list[_Candidate]]] = None,
-) -> list[tuple[Fraction, Fraction]]:
-    """Brackets of width <= tol of the roots in (0, 1) of one polynomial.
+    monomial: list[int], homogeneous: list[int], tol: float | Fraction, integral: Sequence[int]
+) -> list[_Candidate]:
+    """Candidates for the least value of I on [0, 1], from brackets of the roots of I'.
 
-    The polynomial is given in both bases; ``homogeneous`` may have any degree
-    at least that of ``monomial``.  Every root in (0, 1) lies in one bracket.
-    A node with one sign variation holds exactly one simple root, which is
-    bisected to width tol.  A node that still shows two or more variations at
-    width <= tol is reported whole: by the two-circle theorem (Krandick &
-    Mehlhorn, JSC 2006) at least two roots, counted with multiplicity, lie
-    near it -- a multiple root, real roots closer than tol, or a complex pair
-    within about tol of the interval.  A root at a split midpoint is reported
-    as (mid, mid) by the node whose left end it is.  ``tol`` is read once, as
-    the integer depth max(0, ceil(log2(1/tol))) at which nodes and bisection
-    stop.
+    I' is given in both bases; ``homogeneous`` may have any degree at least
+    that of ``monomial``, and ``integral`` holds I's monomial coefficients.
+    The candidates are (I(0), 0, None), (I(1), 1, None) and, for each bracket
+    of width <= tol, (I at its midpoint, the midpoint, the bracket).  A node
+    with one sign variation holds exactly one simple root, which is bisected
+    to width tol.  A node that still shows two or more variations at width
+    <= tol is reported whole: by the two-circle theorem (Krandick & Mehlhorn,
+    JSC 2006) at least two roots, counted with multiplicity, lie near it -- a
+    multiple root, real roots closer than tol, or a complex pair within about
+    tol of the interval.  A root at a split midpoint is reported as (mid, mid)
+    by the node whose left end it is.  ``tol`` is read once, as the integer
+    depth max(0, ceil(log2(1/tol))) at which nodes and bisection stop.
+
+    The search is branch and bound.  A node whose lower bound on I
+    (``_lower_bound``) exceeds U, the least exact value of I seen so far at
+    candidates and split midpoints, is dropped with its subtree: I is above U
+    there, so it holds no minimizer and no tie.  Of two children, the one with
+    the smaller bound is searched first, so the minimum's bracket lowers U
+    early.  A kept node is reached by the same splits as in the whole search,
+    so it gives the same brackets.  I = 0 (``integral`` = [0]) keeps every
+    root: U is 0, and every bound is 0 plus a term that is never positive.
 
     Splits run on coefficients truncated to ``_BITS`` bits (see ``_split``).  A
     node whose bound leaves a sign open, a zero on a cut side included, is
     rebuilt exactly, so every decision, and so every bracket, is the exact one.
-
-    ``minimum``, which only ``_minimize`` passes, turns the search into branch
-    and bound for the least value of a polynomial I whose derivative this one
-    is.  It is (I's monomial coefficients, candidates), a list of (value,
-    point, bracket) that already holds I at 0 and 1, and each bracket is
-    appended to it with I at its midpoint as soon as it is found.  A node whose
-    lower bound on I (``_lower_bound``) exceeds U, the least exact value of I
-    seen so far at candidates and split midpoints, is dropped with its subtree:
-    I is above U there, so it holds no minimizer and no tie.  Of two children,
-    the one with the smaller bound is searched first, so the minimum's bracket
-    lowers U early.  A kept node is reached by the same splits as without
-    bounds, so it gives the same brackets.
+    It keeps its lower bound on I, with the scale of s exact splits.
     """
-    b, scale = _bernstein(homogeneous)
+    candidates: list[_Candidate] = [
+        (_value_at(integral, Fraction(p)), Fraction(p), None) for p in (0, 1)
+    ]
+    b, root_scale = _bernstein(homogeneous)
     if not any(b):
-        return []
+        return candidates
     depth = _depth(tol)
-    out: list[tuple[Fraction, Fraction]] = []
-    # a node's bound is (its lower bound, I at its left end, scale); see _lower_bound
-    bound = None
-    if minimum is not None:
-        integral, candidates = minimum
-        best = min(value for value, _, _ in candidates)
-        at_lo = _value_at(integral, Fraction(0))
-        bound = (_lower_bound(b, 0, at_lo, scale), at_lo, scale)
+    n = len(b) - 1
+    at_lo = candidates[0][0]
+    best = min(at_lo, candidates[1][0])
 
     def found(lo: Fraction, hi: Fraction) -> None:
         nonlocal best
-        out.append((lo, hi))
-        if minimum is not None:
-            point = (lo + hi) / 2
-            value = _value_at(integral, point)
-            candidates.append((value, point, (lo, hi)))
-            best = min(best, value)
+        point = (lo + hi) / 2
+        value = _value_at(integral, point)
+        candidates.append((value, point, (lo, hi)))
+        best = min(best, value)
 
-    stack = [(b, 0, 0, 0, 0, 0, bound)]
+    stack = [(b, 0, 0, 0, 0, 0, _lower_bound(b, 0, at_lo, root_scale), at_lo, root_scale)]
     while stack:
-        x, err, a, s, zl, zr, bound = stack.pop()
-        if bound:
-            low, at_lo, scale = bound
-            if low > best:
-                continue
+        x, err, a, s, zl, zr, low, at_lo, scale = stack.pop()
+        if low > best:
+            continue
         if not _certain(x[zl : len(x) - zr], err):
-            x, err, bound = _replay(b, a, s), 0, None  # its subtree is searched whole
+            x, err, scale = _replay(b, a, s), 0, root_scale << n * s
         if not err:
             zl = next(i for i, v in enumerate(x) if v)
             zr = next(i for i, v in enumerate(reversed(x)) if v)
@@ -310,23 +300,20 @@ def _isolate(
             continue
         x, err, k = _truncate(x, err)
         left, right = _split(x)
-        n = len(x) - 1
         err <<= n
-        left_bound = right_bound = None
-        if bound:
-            scale *= Fraction(1 << n, 1 << k)
-            at_mid = _value_at(integral, Fraction(2 * a + 1, 2 << s))
-            best = min(best, at_mid)
-            left_bound = (_lower_bound(left, s + 1, at_lo, scale), at_lo, scale)
-            right_bound = (_lower_bound(right, s + 1, at_mid, scale), at_mid, scale)
+        scale *= Fraction(1 << n, 1 << k)
+        at_mid = _value_at(integral, Fraction(2 * a + 1, 2 << s))
+        best = min(best, at_mid)
+        left_low = _lower_bound(left, s + 1, at_lo, scale)
+        right_low = _lower_bound(right, s + 1, at_mid, scale)
         children = [
-            (left, err, 2 * a, s + 1, zl, 0, left_bound),
-            (right, err, 2 * a + 1, s + 1, 0, zr, right_bound),
+            (left, err, 2 * a, s + 1, zl, 0, left_low, at_lo, scale),
+            (right, err, 2 * a + 1, s + 1, 0, zr, right_low, at_mid, scale),
         ]
-        if bound and left_bound[0] < right_bound[0]:  # the smaller bound pops first
+        if left_low < right_low:  # the smaller bound pops first
             children.reverse()
         stack += children
-    return sorted(out)
+    return candidates
 
 
 def _lower_bound(x: list[int], s: int, at_lo: Fraction, scale: Fraction) -> Fraction:
@@ -334,7 +321,10 @@ def _lower_bound(x: list[int], s: int, at_lo: Fraction, scale: Fraction) -> Frac
 
     There I' is sum_j x_j B_j(t) / scale, with t running over (0, 1) across
     the node, B_j the Bernstein basis of degree D - 1, D = len(x), and each
-    x_j at most its true value.  Integrating gives I's Bernstein coefficients
+    x_j at most its true value.  ``scale`` is the root's factor from
+    ``_bernstein`` times 2^(D-1) for each split and 2^-k for each truncation
+    by 2^k above the node; on a node redone exactly by s splits it is the
+    root's times 2^((D-1) s).  Integrating gives I's Bernstein coefficients
     of degree D on the node, I(lo) + (x_0 + ... + x_(i-1)) / (2^s D scale) for
     i = 0, ..., D, and I is nowhere below the least of them (Lane &
     Riesenfeld, BIT 21, 1981).

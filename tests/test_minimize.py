@@ -232,12 +232,18 @@ def isolate_unit_interval_roots(dpoly, tol):
 
     See ``coinrace.minimize._isolate``: a bracket holds one simple root unless
     two or more roots, counted with multiplicity, lie within about tol of each
-    other.
+    other.  Under I = 0 every root is a candidate.
     """
     coeffs = list(dpoly.coeffs)
     if len(coeffs) <= 1:
         return []
-    return _isolate(coeffs, to_homogeneous(coeffs, len(coeffs) - 1), tol)
+    return brackets_of(_isolate(coeffs, to_homogeneous(coeffs, len(coeffs) - 1), tol, [0]))
+
+
+def brackets_of(candidates):
+    """The sorted brackets of _isolate's candidates, without the ends 0 and 1."""
+    return sorted(bracket for _, _, bracket in candidates if bracket)
+
 
 unit_roots = st.fractions(
     min_value=Fraction(1, 40), max_value=Fraction(39, 40), max_denominator=40
@@ -305,9 +311,9 @@ def test_real_games_bracket_only_sign_changes(monkeypatch, game):
     real = minimize_module._isolate
 
     def recording(*args):
-        brackets = real(*args)
-        seen.extend(brackets)
-        return brackets
+        candidates = real(*args)
+        seen.extend(brackets_of(candidates))
+        return candidates
 
     monkeypatch.setattr(minimize_module, "_isolate", recording)
     result = minimize_advantage(GameParams(*game))
@@ -565,7 +571,8 @@ def minimize_without_bounds(adv, tol):
     c = adv.homogeneous
     d = len(c) - 1
     slopes = [(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)]
-    brackets = _isolate(list(adv.poly.derivative().coeffs), slopes, Fraction(tol))
+    monomial = list(adv.poly.derivative().coeffs)
+    brackets = brackets_of(_isolate(monomial, slopes, Fraction(tol), [0]))
     candidates = [(adv.poly(Fraction(p)), Fraction(p), None) for p in (0, 1)]
     candidates += [(adv.poly((lo + hi) / 2), (lo + hi) / 2, (lo, hi)) for lo, hi in brackets]
     value, point, bracket = min(candidates, key=lambda c: (c[0], c[1]))
@@ -599,27 +606,28 @@ def bernstein_minimum_on_node(adv, a, s):
 def record_bounds_by_node(monkeypatch):
     """A list that collects ((a, s), args) for each _lower_bound call, on node (a, s).
 
-    The root's bound follows I at 0, and a split's two bounds, the left child's
-    then the right one's, follow I at the split's midpoint m: the children are
-    (2^s m - 1, s) and (2^s m, s).
+    The root's bound follows I at 0 and then I at 1, and a split's two bounds,
+    the left child's then the right one's, follow I at the split's midpoint m:
+    the children are (2^s m - 1, s) and (2^s m, s).
     """
-    bounds, last = [], []
+    bounds, points, after = [], [], []
     value_at, lower_bound = minimize_module._value_at, minimize_module._lower_bound
 
     def value_recording(c, x):
-        last[:] = [x]
+        points[:] = [*points[-1:], x]
+        after.clear()
         return value_at(c, x)
 
     def bound_recording(*args):
         s = args[1]
         if s:
-            mid = last[0] * 2**s
-            assert mid.denominator == 1 and len(last) <= 2
-            a = int(mid) - (len(last) == 1)
+            mid = points[-1] * 2**s
+            assert mid.denominator == 1 and len(after) < 2
+            a = int(mid) - (not after)
         else:
-            assert last == [0]
+            assert points == [0, 1] and not after
             a = 0
-        last.append(a)
+        after.append(a)
         bounds.append(((a, s), args))
         return lower_bound(*args)
 
@@ -644,10 +652,10 @@ def test_equal_minima_are_both_refined_and_reported_as_a_tie(monkeypatch, degree
     found = []
     real = minimize_module._isolate
 
-    def recording(monomial, homogeneous, tol, minimum):
-        brackets = real(monomial, homogeneous, tol, minimum)
-        found.extend(minimum[1])
-        return brackets
+    def recording(monomial, homogeneous, tol, integral):
+        candidates = real(monomial, homogeneous, tol, integral)
+        found.extend(candidates)
+        return candidates
 
     lower_bound = minimize_module._lower_bound
     bounds = record_bounds_by_node(monkeypatch)
@@ -658,9 +666,9 @@ def test_equal_minima_are_both_refined_and_reported_as_a_tie(monkeypatch, degree
     assert result.value_exact == 16 and result.bracket == (quarter, quarter)
     assert (16, quarter, (quarter, quarter)) in found
     assert (16, three_quarters, (three_quarters, three_quarters)) in found
-    assert result == minimize_without_bounds(adv, 1e-9)
     three_quarters_to_one = [args for node, args in bounds if node == (3, 2)]
     assert [lower_bound(*args) for args in three_quarters_to_one] == [16]
+    assert result == minimize_without_bounds(adv, 1e-9)
 
 
 IDENTITY_GAMES = sorted(
@@ -734,6 +742,32 @@ def test_every_lower_bound_is_at_most_the_least_bernstein_coefficient(monkeypatc
             exact += low == least
             zero_end += slope(Fraction(a, 2**s)) * slope(Fraction(a + 1, 2**s)) == 0
     assert checked > 1900 and exact > 0.9 * checked and zero_end > 0
+
+
+def test_replayed_nodes_keep_sound_bounds(monkeypatch):
+    # A replayed node's exact coefficients carry the scale of s exact splits,
+    # 2^(d s) times the root's, and its children's bounds are built on it.
+    # TWIN_MINIMA times 2^200 is past _BITS, so its splits truncate and its
+    # replayed nodes split again.
+    games = [(100, 1, 1), (150, 2, 3), (90, 1, 2), (99, 1, 1)]
+    advs = [advantage_polynomial(GameParams(*game)) for game in games]
+    scaled = [c << 200 for c in TWIN_MINIMA]
+    advs += [synthetic_advantage(scaled, degree) for degree in (6, 8)]
+    lower_bound = minimize_module._lower_bound
+    bounds = record_bounds_by_node(monkeypatch)
+    replays = record_calls(monkeypatch, "_replay")
+    leave_every_truncated_sign_open(monkeypatch)
+    checked = below_replays = 0
+    for adv in advs:
+        bounds.clear()
+        replays.clear()
+        minimize_module._minimize(adv, 1e-9)
+        replayed = {(a, s) for _, a, s in replays}
+        for (a, s), args in bounds:
+            assert lower_bound(*args) <= bernstein_minimum_on_node(adv, a, s), (a, s)
+            checked += 1
+            below_replays += (a >> 1, s - 1) in replayed
+    assert checked > 20 and below_replays > 0, (checked, below_replays)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
