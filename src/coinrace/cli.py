@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 
 from .advantage import advantage_polynomial
@@ -29,6 +30,10 @@ from .stopping import hit_time_distribution
 from .tables import POLYNOMIAL_TABLES, minimized_table, polynomial_table
 
 FORMATS = ("text", "json", "csv", "latex")
+
+# argparse takes only "-1" and "-.5" forms for values; this also covers "-1e-9" and "-1/2"
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+_FLAGS_WITHOUT_VALUE = ("--", "--help", "--at-pstar")  # "--" ends the options
 
 _GAME_HELP = {"n": "points needed to win", "alpha": "points per tail", "beta": "bonus points per head"}
 
@@ -50,7 +55,7 @@ class Report:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -76,6 +81,19 @@ def run() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
     raise SystemExit(code)
+
+
+def _join_negative_values(argv) -> list[str]:
+    """Write ``--flag -1e-9`` as ``--flag=-1e-9``, so that the value reaches its flag."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and "=" not in flag and flag not in _FLAGS_WITHOUT_VALUE
+                and _NEGATIVE_VALUE.match(arg)):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _emit(fmt: str, report: Report) -> int:
@@ -112,7 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command("pmf", "per-turn win probabilities for one player", _cmd_pmf)
     p = command("minimize", "bias minimizing the first player's advantage", _cmd_minimize)
     p.add_argument("--tol", type=float, default=1e-9, help="bracket width for the minimizer")
-    command("pstar", "limiting optimal bias for large targets", _cmd_pstar, {"alpha": None, "beta": None})
+    command("pstar", "the paper's limiting optimal bias for large targets "
+            "(the exact optimum's limit only for integer alpha/beta)", _cmd_pstar, {"alpha": None, "beta": None})
 
     p = command("simulate", "seeded Monte Carlo games", _cmd_simulate)
     group = p.add_mutually_exclusive_group(required=True)

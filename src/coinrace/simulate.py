@@ -14,9 +14,14 @@ and p = 1 always does.
 
 Each stream plays its games in one loop and tallies the signed turn count of
 each: +k when the first player reaches the target on their k-th turn, -k when
-the second player wins on theirs.  The tally is a dict keyed by the turns that
-occurred, so its memory grows with the number of distinct outcomes, never with
-the target n.
+the second player wins on theirs.  Nobody can reach n before turn
+l = ceil(n/(alpha+beta)), so turns 1..l-1 are played without end checks: both
+scores start at (l-1)*alpha and gain beta per head.  Turns l..m are checked
+after every toss, and the first player reaches n by turn m = ceil(n/alpha)
+even with all tails.  Every game makes the same draws in the same order as a
+loop that checks every turn, so the results are the same.  The tally is a dict
+keyed by the turns that occurred, so its memory grows with the number of
+distinct outcomes, never with the target n.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from collections import Counter
 from math import sqrt
 from typing import Mapping, NamedTuple
 
-from .game import GameParams, ParameterError, normalize
+from .game import GameParams, NormalizedParams, ParameterError, normalize, turn_bounds
 from .minimize import asymptotic_optimum
 
 _MASK64 = (1 << 64) - 1
@@ -127,12 +132,20 @@ def _run_jobs(jobs: list[tuple], workers: int) -> list[tuple[int, dict[int, int]
 def _run_stream(job: tuple) -> tuple[int, dict[int, int]]:
     n, alpha, beta, p, trials, stream_seed = job
     rng = random.Random(stream_seed).random
+    l, m = turn_bounds(NormalizedParams(n, alpha, beta))
     heads = alpha + beta
+    start = (l - 1) * alpha  # the heads of turns 1..l-1 are added in the loop
+    unchecked = range(l - 1)
+    checked = range(l, m + 1)  # always breaks: the first player reaches n by turn m
     counts: dict[int, int] = {}
     for _ in range(trials):
-        first = second = turn = 0
-        while True:
-            turn += 1
+        first = second = start
+        for _ in unchecked:
+            if rng() < p:
+                first += beta
+            if rng() < p:
+                second += beta
+        for turn in checked:
             first += heads if rng() < p else alpha
             if first >= n:
                 break

@@ -52,6 +52,11 @@ CASES = [
     (None, ["poly", "--n", "1e19", "--alpha", "1", "--beta", "1"]),
     (None, ["simulate", "--n", "5", "--alpha", "1", "--beta", "1", "--p", "1e400",
             "--trials", "10"]),
+    # negative values in exponent or fraction form reach their flags
+    (None, ["simulate", "--n", "5", "--alpha", "1", "--beta", "1", "--p", "-1e400",
+            "--trials", "10"]),
+    (None, ["poly", "--n", "-1/2", "--alpha", "1", "--beta", "1"]),
+    (None, ["minimize", "--n", "5", "--alpha", "1", "--beta", "1", "--tol", "-1e-9"]),
     ("corrupt-builder", ["verify", "--max-n", "4", "--max-alpha", "1", "--max-beta", "1"]),
     ("oracle-cap-3", ["verify", "--max-n", "5", "--max-alpha", "1", "--max-beta", "1"]),
 ]

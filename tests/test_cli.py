@@ -50,6 +50,15 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+def test_negative_values_are_joined_only_to_flags_that_take_one():
+    # argparse reads "-1e-9" and "-1/2" as options; "--flag=value" lets them reach the flag
+    argv = ["--tol", "-1e-9", "--n", "-1/2", "--p", "-.5", "--at-pstar", "-1.5", "--help", "-1e5",
+            "--n=-1", "-2", "--", "-1e5", "--seed", "7"]
+    assert cli._join_negative_values(argv) == [
+        "--tol=-1e-9", "--n=-1/2", "--p=-.5", "--at-pstar", "-1.5", "--help", "-1e5",
+        "--n=-1", "-2", "--", "-1e5", "--seed", "7"]
+
+
 def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
     def exhausted(params):
         raise MemoryError

@@ -209,9 +209,21 @@ def reference_play(rng, n: int, alpha: int, beta: int, p: float) -> int:
 EDGE_BIASES = [0.0, 1.0, 0.3, asymptotic_optimum(1, 1).bias, 1 - 2**-53, 2**-60]
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 17, 100])
-@pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 1), (2, 3), (3, 7)])
-def test_fused_stream_matches_per_game_reference(n, alpha, beta):
+def turn_bound_edges(alpha: int, beta: int) -> set[int]:
+    """Targets n <= alpha + beta (l = 1), and k(alpha + beta) and one more, where l steps up."""
+    heads = alpha + beta
+    return {1, heads - 1, *(k * heads + d for k in (1, 2, 5, 20) for d in (0, 1))}
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,n",
+    [
+        (alpha, beta, n)
+        for alpha, beta in [(1, 1), (2, 1), (2, 3), (3, 7)]
+        for n in sorted({1, 2, 5, 17, 100} | turn_bound_edges(alpha, beta))
+    ],
+)
+def test_fused_stream_matches_per_game_reference(alpha, beta, n):
     for p in EDGE_BIASES:
         for seed in (0, 12345, 2**64 - 1):
             job = (n, alpha, beta, p, 300, simulate_module._stream_seed(seed, 0))
@@ -221,7 +233,7 @@ def test_fused_stream_matches_per_game_reference(n, alpha, beta):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(1, 40),
+    n=st.integers(1, 220),  # l - 1 reaches 21 at alpha + beta = 10 and 109 at alpha = beta = 1
     alpha=st.integers(1, 5),
     beta=st.integers(1, 5),
     p=st.floats(0.0, 1.0),
