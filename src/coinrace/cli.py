@@ -227,12 +227,7 @@ def _cmd_simulate(args) -> Report:
     if args.at_pstar:
         r = simulate_at_pstar(params, args.trials, args.seed, args.workers)
     else:
-        if not 0 <= args.p <= 1:  # before float(), which overflows on 1e400
-            raise ParameterError("p must be in [0, 1]")
-        config = SimConfig(
-            params=params, p=float(args.p), trials=args.trials, seed=args.seed, workers=args.workers
-        )
-        r = simulate(config)
+        r = simulate(SimConfig(params, args.p, args.trials, args.seed, args.workers))
     return Report(
         {"trials": r.trials, "wins": r.wins, "frequency": r.frequency, "stderr": r.stderr,
          "seed": r.seed, "workers": args.workers,

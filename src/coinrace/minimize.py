@@ -87,8 +87,8 @@ class AsymptoticOptimum(NamedTuple):
     """
 
     t: Fraction
-    bias: float
-    variance: float  # limiting_variance evaluated at the bias
+    bias: float  # from the exact t, rounded once
+    variance: float  # limiting_variance at the float bias: exact, rounded once
 
 
 def minimize_advantage(params: GameParams, tol: float = 1e-9) -> MinimizationResult:
@@ -160,42 +160,47 @@ def asymptotic_optimum(alpha, beta) -> AsymptoticOptimum:
     """Limiting optimal bias 1 + t - sqrt(1 + t + t^2), with t = alpha/beta.
 
     This is the paper's limit; the exact minimizing bias tends to it only for
-    integer t (at t = 1/2, 0.1771 against 0.2687 at m ~ 1000 turns).
+    integer t (at t = 1/2, 0.1771 against 0.2687 at m ~ 1000 turns).  Bias and
+    variance are exact values rounded once.  Raises ParameterError when the
+    bias is below the smallest float or the variance is outside the float range.
+    """
+    t, bias = _limit_bias(alpha, beta)
+    return AsymptoticOptimum(t=t, bias=bias, variance=limiting_variance(bias, alpha, beta))
 
-    Evaluated as t / (1 + t + sqrt(1 + t + t^2)), which is algebraically the
-    same but avoids the cancellation of the direct form for large t.  Raises
-    ParameterError when t, t^2 or the variance leaves the float range.
+
+def _limit_bias(alpha, beta) -> tuple[Fraction, float]:
+    """t = alpha/beta and the bias u / (u + v + sqrt(u^2 + uv + v^2)), t = u/v in lowest terms.
+
+    The root is floored 256 bits past the point, so the one int division
+    correctly rounds a value within a relative 2^-256 of the bias.
     """
     a, b = parse_rational(alpha), parse_rational(beta)
     if a <= 0 or b <= 0:
         raise ParameterError("alpha and beta must be > 0")
     t = a / b
-    try:
-        tf = float(t)
-    except OverflowError:
-        tf = math.inf
-    bias = tf / (1 + tf + math.sqrt(1 + tf + tf * tf))
-    if not 0 < bias < 1:  # t is 0, t^2 is inf or t is inf (bias nan) as a float
-        raise ParameterError("t = alpha/beta is too far from 1 for the float range")
-    return AsymptoticOptimum(t=t, bias=bias, variance=limiting_variance(bias, a, b))
+    u, v = t.numerator, t.denominator
+    bias = (u << 256) / (((u + v) << 256) + math.isqrt((u * u + u * v + v * v) << 512))
+    if bias == 0:
+        raise ParameterError("the limiting bias is outside the float range")
+    return t, bias
 
 
 def limiting_variance(p: float, alpha, beta) -> float:
     """(alpha + beta*p)^3 / (beta^2 * p * (1-p)); the scale whose minimum sets the limit bias.
 
-    Raises ParameterError when alpha, beta or the variance leaves the float range.
+    Exact at the given p, rounded once; ParameterError outside the float range.
     """
     a, b = parse_rational(alpha), parse_rational(beta)
     if a <= 0 or b <= 0:
         raise ParameterError("alpha and beta must be > 0")
     if not 0 < p < 1:
         raise ParameterError("p must be strictly inside (0, 1)")
+    x = Fraction(p)
     try:
-        a, b = float(a), float(b)
-        variance = (a + b * p) ** 3 / (b * b * p * (1 - p))
-    except (OverflowError, ZeroDivisionError):
-        variance = math.inf
-    if not 0 < variance < math.inf:
+        variance = float((a + b * x) ** 3 / (b * b * x * (1 - x)))
+    except OverflowError:
+        variance = 0.0
+    if variance == 0:
         raise ParameterError("the limiting variance is outside the float range")
     return variance
 
@@ -212,8 +217,8 @@ def advantage_at_asymptotic(params: GameParams) -> float:
 
 def _at_limit_bias(adv: AdvantageResult) -> float:
     """``advantage_at_asymptotic`` on an already built polynomial."""
-    optimum = asymptotic_optimum(adv.params.alpha, adv.params.beta)
-    return float(_value_at(adv.poly.coeffs, Fraction(optimum.bias)))
+    _, bias = _limit_bias(adv.params.alpha, adv.params.beta)
+    return float(_value_at(adv.poly.coeffs, Fraction(bias)))
 
 
 # ---------------------------------------------------------------------------

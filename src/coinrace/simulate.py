@@ -8,9 +8,9 @@ and different seeds give statistically independent runs.  Worker counts
 partition the trials; changing the worker count changes the stream layout,
 which preserves correctness but not bit-identity.  The process pool never
 exceeds ``os.cpu_count()``; W workers still mean min(W, trials) seed streams,
-so the cap changes where streams run, never what they draw.  A toss is a head iff the
-next uniform draw in [0, 1) is strictly below p, so p = 0 never tosses heads
-and p = 1 always does.
+so the cap changes where streams run, never what they draw.  p is rounded to
+a float once, and a toss is a head iff the next uniform draw in [0, 1) is
+strictly below it, so p = 0 never tosses heads and p = 1 always does.
 
 Each stream plays its games in one loop and tallies the signed turn count of
 each: +k when the first player reaches the target on their k-th turn, -k when
@@ -33,14 +33,14 @@ from math import sqrt
 from typing import Mapping, NamedTuple
 
 from .game import GameParams, NormalizedParams, ParameterError, normalize, turn_bounds
-from .minimize import asymptotic_optimum
+from .minimize import _limit_bias
 
 _MASK64 = (1 << 64) - 1
 
 
 class SimConfig(NamedTuple):
     params: GameParams
-    p: float
+    p: float  # or any exact rational in [0, 1]
     trials: int
     seed: int
     workers: int = 1
@@ -61,7 +61,7 @@ def simulate(config: SimConfig) -> SimResult:
     nparams = normalize(config.params)
     shares = _split_trials(config.trials, config.workers)
     jobs = [
-        (nparams.n, nparams.alpha, nparams.beta, config.p, share, _stream_seed(config.seed, w))
+        (nparams.n, nparams.alpha, nparams.beta, float(config.p), share, _stream_seed(config.seed, w))
         for w, share in enumerate(shares)
     ]
     outcomes = _run_jobs(jobs, config.workers)
@@ -85,7 +85,7 @@ def simulate_at_pstar(
     params: GameParams, trials: int, seed: int, workers: int = 1
 ) -> SimResult:
     """Simulate with the coin bias set to the limiting optimal value."""
-    bias = asymptotic_optimum(params.alpha, params.beta).bias
+    _, bias = _limit_bias(params.alpha, params.beta)
     return simulate(SimConfig(params=params, p=bias, trials=trials, seed=seed, workers=workers))
 
 

@@ -59,6 +59,11 @@ CASES = [
     (None, ["minimize", "--n", "5", "--alpha", "1", "--beta", "1", "--tol", "-1e-9"]),
     ("corrupt-builder", ["verify", "--max-n", "4", "--max-alpha", "1", "--max-beta", "1"]),
     ("oracle-cap-3", ["verify", "--max-n", "5", "--max-alpha", "1", "--max-beta", "1"]),
+    # the limit bias comes from the exact ratio: only a bias below the smallest float exits 2
+    (None, ["pstar", "--alpha", "1", "--beta", "1"]),
+    (None, ["pstar", "--alpha", "1e200", "--beta", "1e200"]),
+    (None, ["pstar", "--alpha", "1e-400", "--beta", "1"]),
+    (None, ["simulate", "--n", "5", "--alpha", "1e400", "--beta", "1", "--at-pstar", "--trials", "5"]),
 ]
 
 

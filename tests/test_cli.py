@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, round-trips."""
 
+import argparse
 import csv
 import io
 import json
@@ -57,6 +58,17 @@ def test_negative_values_are_joined_only_to_flags_that_take_one():
     assert cli._join_negative_values(argv) == [
         "--tol=-1e-9", "--n=-1/2", "--p=-.5", "--at-pstar", "-1.5", "--help", "-1e5",
         "--n=-1", "-2", "--", "-1e5", "--seed", "7"]
+
+
+def test_every_option_without_a_value_is_known_to_the_negative_value_join():
+    # an option missing from the tuple would turn "--flag -1" into "--flag=-1"
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in [parser, *subparsers.choices.values()]:
+        for action in command._actions:
+            for option in action.option_strings:
+                if option.startswith("--") and action.nargs == 0:
+                    assert option in cli._FLAGS_WITHOUT_VALUE, (command.prog, option)
 
 
 def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
@@ -136,8 +148,8 @@ def test_pstar_values(capsys):
     [
         ["pstar", "--alpha", "1e103", "--beta", "1"],
         ["pstar", "--alpha", "1e400", "--beta", "1"],
-        ["simulate", "--n", "5", "--alpha", "1e400", "--beta", "1", "--at-pstar", "--trials", "5"],
-        ["pstar", "--alpha", "1", "--beta", "1e200"],
+        ["pstar", "--alpha", "1e-200", "--beta", "1"],  # the variance underflows
+        ["simulate", "--n", "5", "--alpha", "1e-400", "--beta", "1", "--at-pstar", "--trials", "5"],
         ["pstar", "--alpha", "1e-400", "--beta", "1"],
     ],
 )
@@ -146,6 +158,21 @@ def test_limit_bias_outside_the_float_range_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["pstar", "--alpha", "1", "--beta", "1e200"], [5e-201, 6.75e-200]),
+        (["simulate", "--n", "5", "--alpha", "1e400", "--beta", "1", "--at-pstar", "--trials", "5"],
+         [5, 5, 1.0, 0.0, 0, 1]),
+    ],
+)
+def test_a_limit_bias_from_far_apart_values_answers(capsys, argv, expected):
+    # the bias comes from the exact ratio, so alpha and beta need not be floats
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [float(x) for x in out.splitlines()[1].split(",")[-len(expected):]] == expected
 
 
 def test_simulate_deterministic_bias(capsys):

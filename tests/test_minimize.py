@@ -10,6 +10,7 @@ import pytest
 from coinrace.advantage import advantage_polynomial
 from coinrace.game import GameParams, ParameterError
 from coinrace.minimize import (
+    _limit_bias,
     advantage_at_asymptotic,
     asymptotic_optimum,
     limiting_variance,
@@ -123,7 +124,7 @@ def test_limit_bias_range_and_limits():
 
 @pytest.mark.parametrize(
     "alpha,beta",
-    [(10**400, 1), (Fraction(1, 10**400), 1), (10**200, 1), (10**103, 1), (1, 10**200)],
+    [(10**400, 1), (Fraction(1, 10**400), 1), (10**200, 1), (10**103, 1), (Fraction(1, 10**200), 1)],
     ids=["t-overflow", "t-underflow", "t-squared-overflow", "variance-overflow", "variance-underflow"],
 )
 def test_outside_the_float_range_is_a_parameter_error(alpha, beta):
@@ -137,6 +138,47 @@ def test_limit_bias_depends_only_on_ratio():
         scaled = asymptotic_optimum(3 * c, 2 * c)
         assert base.t == scaled.t
         assert base.bias == scaled.bias
+
+
+def certified_limit_bias(t: Fraction) -> float:
+    """The correctly rounded u / (u + v + sqrt(u^2 + uv + v^2)), t = u/v, from a two-sided bracket.
+
+    With D = (u + v) 2^J + isqrt((u^2 + uv + v^2) 4^J), 2^J times the exact
+    denominator lies in [D, D + 1), so the bias lies in (u 2^J / (D + 1), u 2^J / D].
+    Rounding is monotone, so once both ends round to one float the bias does too.
+    """
+    u, v = t.numerator, t.denominator
+    for j in (64, 128, 256, 512, 1024, 2048, 4096):
+        d = ((u + v) << j) + math.isqrt((u * u + u * v + v * v) << 2 * j)
+        if (u << j) / (d + 1) == (u << j) / d:
+            return (u << j) / d
+    raise AssertionError(f"no bracket settled the rounding at t = {t}")
+
+
+def test_limit_bias_is_correctly_rounded():
+    for alpha in range(1, 61):
+        for beta in range(1, 61):
+            assert asymptotic_optimum(alpha, beta).bias == certified_limit_bias(Fraction(alpha, beta))
+    for k in range(-150, 101):  # where the variance is a float too
+        t = Fraction(10) ** k
+        assert asymptotic_optimum(t, 1).bias == certified_limit_bias(t), k
+    for k in range(300, 324):  # the bias is subnormal; 10^-324 leaves even those
+        t = Fraction(1, 10**k)
+        assert _limit_bias(t, 1) == (t, certified_limit_bias(t)), k
+    with pytest.raises(ParameterError, match="limiting bias is outside the float range"):
+        _limit_bias(Fraction(1, 10**324), 1)
+
+
+def test_limiting_variance_is_the_exact_value_rounded_once():
+    assert limiting_variance(asymptotic_optimum(1, 1).bias, 1, 1) == 10.392304845413264
+    rng = random.Random(20261019)
+    for _ in range(300):
+        alpha = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        beta = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        p = rng.uniform(0.01, 0.99)
+        x = Fraction(p)
+        exact = (alpha + beta * x) ** 3 / (beta * beta * x * (1 - x))
+        assert limiting_variance(p, alpha, beta) == float(exact)
 
 
 def test_limiting_variance_value_and_pole():
@@ -174,6 +216,8 @@ def test_limiting_variance_is_homogeneous():
 def test_advantage_at_limit_bias():
     assert abs(advantage_at_asymptotic(GameParams(5, 1, 1)) - 0.700) <= 5e-3
     assert advantage_at_asymptotic(GameParams(2, 2, 1)) == 1.0
+    # only the bias is needed, so a variance past the float range does not matter
+    assert advantage_at_asymptotic(GameParams(5, 10**103, 1)) == 1.0
     # exact evaluation at the same rational bias must agree with the enumeration oracle
     from coinrace.game import normalize
     from coinrace.oracle import brute_force_advantage

@@ -47,7 +47,7 @@ def test_reprs_are_pinned():
     assert repr(nparams) == "NormalizedParams(n=5, alpha=1, beta=2)"
     assert repr(turn_bounds(nparams)) == "TurnBounds(l=2, m=5)"
     assert repr(asymptotic_optimum(1, 1)) == (
-        "AsymptoticOptimum(t=Fraction(1, 1), bias=0.2679491924311227, variance=10.392304845413266)"
+        "AsymptoticOptimum(t=Fraction(1, 1), bias=0.2679491924311227, variance=10.392304845413264)"
     )
 
 

@@ -152,6 +152,9 @@ def test_pool_is_capped_at_cpu_count_but_streams_are_kept(monkeypatch):
 def test_simulate_at_limit_bias():
     degenerate = simulate_at_pstar(GameParams(2, 2, 1), trials=500, seed=3)
     assert degenerate.frequency == 1.0
+    # only the bias is needed, so a variance past the float range does not matter
+    far = simulate_at_pstar(GameParams(5, 10**400, 1), trials=5, seed=1)
+    assert (far.wins, dict(far.turn_histogram)) == (5, {1: 1.0})
     result = simulate_at_pstar(GameParams(10, 1, 1), trials=20000, seed=17)
     exact = float(advantage_at(GameParams(10, 1, 1), Fraction(asymptotic_optimum(1, 1).bias)))
     assert abs(result.frequency - exact) <= 5 * result.stderr
@@ -173,6 +176,22 @@ def test_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ParameterError):
         simulate(SimConfig(**base))
+
+
+def test_an_exact_p_is_rounded_once_before_the_streams(monkeypatch):
+    jobs = []
+    run_jobs = simulate_module._run_jobs
+
+    def capture(js, workers):
+        jobs.extend(js)
+        return run_jobs(js, workers)
+
+    monkeypatch.setattr(simulate_module, "_run_jobs", capture)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # both streams in this process
+    g = GameParams(10, 1, 1)
+    exact = simulate(SimConfig(g, Fraction(1, 3), 2000, seed=5, workers=2))
+    assert exact == simulate(SimConfig(g, 1 / 3, 2000, seed=5, workers=2))
+    assert len(jobs) == 4 and all(type(job[3]) is float and job[3] == 1 / 3 for job in jobs)
 
 
 def reference_run_stream(job: tuple) -> tuple[int, Counter]:
