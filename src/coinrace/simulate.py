@@ -1,16 +1,17 @@
 """Seeded Monte Carlo replication of the race game.
 
-Randomness contract: draws come from Python's Mersenne Twister
-(:class:`random.Random`, period 2**19937 - 1).  Each worker owns a private
-generator seeded with a splitmix64 mix of the 64-bit run seed and the worker
-index, so a run is bit-for-bit reproducible for a fixed (seed, workers) pair
-and different seeds give statistically independent runs.  Worker counts
-partition the trials; changing the worker count changes the stream layout,
-which preserves correctness but not bit-identity.  The process pool never
-exceeds ``os.cpu_count()``; W workers still mean min(W, trials) seed streams,
-so the cap changes where streams run, never what they draw.  p is rounded to
-a float once, and a toss is a head iff the next uniform draw in [0, 1) is
-strictly below it, so p = 0 never tosses heads and p = 1 always does.
+Randomness contract: draws come from Python's Mersenne Twister (MT19937,
+period 2**19937 - 1) as ``_random.Random``, the C type that
+:class:`random.Random` extends, with the same integer seeding and draws.  Each
+worker owns a private generator seeded with a splitmix64 mix of the 64-bit run
+seed and the worker index, so a run is bit-for-bit reproducible for a fixed
+(seed, workers) pair and different seeds give statistically independent runs.
+Worker counts partition the trials; changing the worker count changes the
+stream layout, which preserves correctness but not bit-identity.  The process
+pool never exceeds ``os.cpu_count()``; W workers still mean min(W, trials)
+seed streams, so the cap changes where streams run, never what they draw.  p
+is rounded to a float once, and a toss is a head iff the next draw in [0, 1)
+is strictly below it, so p = 0 never tosses heads and p = 1 always does.
 
 Each stream plays its games in one loop and tallies the signed turn count of
 each: +k when the first player reaches the target on their k-th turn, -k when
@@ -26,8 +27,8 @@ distinct outcomes, never with the target n.
 
 from __future__ import annotations
 
+import _random
 import os
-import random
 from collections import Counter
 from math import sqrt
 from typing import Mapping, NamedTuple
@@ -131,7 +132,8 @@ def _run_jobs(jobs: list[tuple], workers: int) -> list[tuple[int, dict[int, int]
 
 def _run_stream(job: tuple) -> tuple[int, dict[int, int]]:
     n, alpha, beta, p, trials, stream_seed = job
-    rng = random.Random(stream_seed).random
+    # the exact C type: CPython 3.11+ specializes gen.random() on it, not on a random.Random or a bound .random
+    gen = _random.Random(stream_seed)
     l, m = turn_bounds(NormalizedParams(n, alpha, beta))
     heads = alpha + beta
     start = (l - 1) * alpha  # the heads of turns 1..l-1 are added in the loop
@@ -141,15 +143,21 @@ def _run_stream(job: tuple) -> tuple[int, dict[int, int]]:
     for _ in range(trials):
         first = second = start
         for _ in unchecked:
-            if rng() < p:
+            if gen.random() < p:
                 first += beta
-            if rng() < p:
+            if gen.random() < p:
                 second += beta
         for turn in checked:
-            first += heads if rng() < p else alpha
+            if gen.random() < p:
+                first += heads
+            else:
+                first += alpha
             if first >= n:
                 break
-            second += heads if rng() < p else alpha
+            if gen.random() < p:
+                second += heads
+            else:
+                second += alpha
             if second >= n:
                 turn = -turn
                 break

@@ -195,7 +195,11 @@ def test_an_exact_p_is_rounded_once_before_the_streams(monkeypatch):
 
 
 def reference_run_stream(job: tuple) -> tuple[int, Counter]:
-    """The per-game stream loop the fused `_run_stream` replaced, kept as its reference."""
+    """The per-game stream loop the fused `_run_stream` replaced, kept as its reference.
+
+    It draws from `random.Random`, the documented generator, so the comparison also checks that
+    `_random.Random`, the C type `_run_stream` draws from, seeds and draws the same.
+    """
     n, alpha, beta, p, trials, stream_seed = job
     rng = random.Random(stream_seed).random
     wins = 0
@@ -226,6 +230,8 @@ def reference_play(rng, n: int, alpha: int, beta: int, p: float) -> int:
 
 
 EDGE_BIASES = [0.0, 1.0, 0.3, asymptotic_optimum(1, 1).bias, 1 - 2**-53, 2**-60]
+# unmixed stream seeds: one- and two-word init_by_array keys, one of them with a zero low word
+RAW_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
 def turn_bound_edges(alpha: int, beta: int) -> set[int]:
@@ -244,10 +250,10 @@ def turn_bound_edges(alpha: int, beta: int) -> set[int]:
 )
 def test_fused_stream_matches_per_game_reference(alpha, beta, n):
     for p in EDGE_BIASES:
-        for seed in (0, 12345, 2**64 - 1):
-            job = (n, alpha, beta, p, 300, simulate_module._stream_seed(seed, 0))
-            wins, counts = simulate_module._run_stream(job)
-            assert (wins, counts) == reference_run_stream(job), (p, seed)
+        jobs = [(n, alpha, beta, p, 300, simulate_module._stream_seed(seed, 0)) for seed in (0, 12345, 2**64 - 1)]
+        jobs += [(n, alpha, beta, p, 100, stream_seed) for stream_seed in RAW_STREAM_SEEDS]
+        for job in jobs:
+            assert simulate_module._run_stream(job) == reference_run_stream(job), job
 
 
 @settings(max_examples=200, deadline=None)
