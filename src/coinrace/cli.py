@@ -21,7 +21,7 @@ import re
 import sys
 
 from .advantage import advantage_polynomial
-from .game import GameParams, ParameterError, normalize, parse_rational
+from .game import GameParams, NormalizedParams, ParameterError, normalize, parse_rational
 from .minimize import asymptotic_optimum, minimize_advantage
 from .oracle import brute_force_hit_pmf
 from .polynomial import render
@@ -279,39 +279,46 @@ def _cmd_table(args) -> Report:
     )
 
 
+def _verdict(nparams: NormalizedParams) -> tuple[bool, int | None]:
+    """(checked, first turn k where the analytic and oracle pmfs differ, or None)."""
+    try:
+        expected = brute_force_hit_pmf(nparams)
+    except ParameterError:
+        return False, None
+    got = dict(hit_time_distribution(nparams).pmf)
+    if got == expected:
+        return True, None
+    return True, min(k for k in got.keys() | expected.keys() if got.get(k) != expected.get(k))
+
+
 def run_grid_verification(
     max_n: int, max_alpha: int, max_beta: int
 ) -> tuple[int, list[dict], list[dict]]:
     """Compare analytic and oracle pmfs over an integer parameter grid.
 
-    Returns (checked case count, mismatch records, skipped records).  Cases
-    that last longer than the oracle's turn cap are skipped, not checked.
-    The analytic pmf is looked up as ``cli.hit_time_distribution`` at each
-    call, so tests reach the negative path by patching that name with a
-    corrupted builder.  An empty grid is a ParameterError, not a pass.
+    Returns (checked case count, mismatch records, skipped records), one
+    record per raw case; each normalized game is checked once.  Cases longer
+    than the oracle's turn cap are skipped.  The analytic pmf is looked up as
+    ``cli.hit_time_distribution`` at each check, so tests patch that name
+    with a corrupted builder.  An empty grid is a ParameterError, not a pass.
     """
     if min(max_n, max_alpha, max_beta) < 1:
         raise ParameterError("max-n, max-alpha and max-beta must be >= 1")
+    verdict = functools.cache(_verdict)
     mismatches = []
     skipped = []
     total = 0
     for n in range(1, max_n + 1):
         for alpha in range(1, max_alpha + 1):
             for beta in range(1, max_beta + 1):
-                nparams = normalize(GameParams(n, alpha, beta))
-                try:
-                    expected = brute_force_hit_pmf(nparams)
-                except ParameterError:
-                    skipped.append({"n": n, "alpha": alpha, "beta": beta})
+                checked, bad_k = verdict(normalize(GameParams(n, alpha, beta)))
+                case = {"n": n, "alpha": alpha, "beta": beta}
+                if not checked:
+                    skipped.append(case)
                     continue
                 total += 1
-                got = dict(hit_time_distribution(nparams).pmf)
-                if got != expected:
-                    bad_k = next(
-                        (k for k in sorted(set(got) | set(expected)) if got.get(k) != expected.get(k)),
-                        None,
-                    )
-                    mismatches.append({"n": n, "alpha": alpha, "beta": beta, "k": bad_k})
+                if bad_k is not None:
+                    mismatches.append({**case, "k": bad_k})
     return total, mismatches, skipped
 
 

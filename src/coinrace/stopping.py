@@ -15,6 +15,7 @@ binomial row of (1-p)^(k-j); ``coinrace.advantage`` packs the same slots.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -75,7 +76,7 @@ def hit_time_distribution(params: NormalizedParams) -> HitTimeDistribution:
     """Build the pmf for every feasible turn and check that total mass is 1."""
     bounds = turn_bounds(params)
     pmf = {k: _expand(k, params) for k in range(bounds.l, bounds.m + 1)}
-    total = sum(pmf.values(), Poly())
+    total = Poly(map(sum, zip_longest(*[f.coeffs for f in pmf.values()], fillvalue=0)))
     if total != ONE:
         raise ConsistencyError(f"win-turn masses for {params} sum to {total} instead of 1")
     return HitTimeDistribution(bounds, MappingProxyType(pmf))

@@ -324,20 +324,21 @@ def test_verify_bound_below_one_exits_2(capsys, fmt, flag):
     assert err == "error: max-n, max-alpha and max-beta must be >= 1\n"
 
 
-def test_verify_detects_corruption(capsys, monkeypatch):
+def corrupted(params):
+    """The analytic pmf, with its last turn off by p in the game (3, 1, 1) only."""
     from types import MappingProxyType
 
-    from coinrace.polynomial import Poly
     from coinrace.stopping import hit_time_distribution
 
-    def corrupted(params):
-        dist = hit_time_distribution(params)
-        pmf = dict(dist.pmf)
-        if params.n == 3 and params.alpha == 1 and params.beta == 1:
-            last = max(pmf)
-            pmf[last] = pmf[last] + Poly((0, 1))
-        return type(dist)(dist.bounds, MappingProxyType(pmf))
+    dist = hit_time_distribution(params)
+    pmf = dict(dist.pmf)
+    if params.n == 3 and params.alpha == 1 and params.beta == 1:
+        last = max(pmf)
+        pmf[last] = pmf[last] + Poly((0, 1))
+    return type(dist)(dist.bounds, MappingProxyType(pmf))
 
+
+def test_verify_detects_corruption(capsys, monkeypatch):
     monkeypatch.setattr(cli, "hit_time_distribution", corrupted)
     code, out, _ = run_cli(
         capsys, "verify", "--max-n", "4", "--max-alpha", "1", "--max-beta", "1"
@@ -345,6 +346,34 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert code == 1
     assert "mismatch: n=3 alpha=1 beta=1" in out
     assert "3/4 cases match" in out
+
+
+def test_verify_checks_each_normalized_game_once(monkeypatch):
+    import coinrace.oracle as oracle_module
+    from coinrace.game import normalize
+
+    built = []
+
+    def counting(params):
+        built.append(params)
+        return corrupted(params)
+
+    monkeypatch.setattr(cli, "hit_time_distribution", counting)
+    raw = [(n, a, b) for n in range(1, 7) for a in (1, 2) for b in (1, 2)]
+    games = {normalize(GameParams(*case)) for case in raw}
+    assert len(games) < len(raw)
+    total, mismatches, skipped = cli.run_grid_verification(6, 2, 2)
+    assert (total, skipped) == (len(raw), [])
+    assert mismatches == [{"n": 3, "alpha": 1, "beta": 1, "k": 3}, {"n": 6, "alpha": 2, "beta": 2, "k": 3}]
+    assert len(built) == len(set(built)) == len(games)
+
+    # at a cap of 2 turns, (3, 1, 1) and (6, 2, 2) are one skipped game
+    for cap in (3, 2):
+        monkeypatch.setattr(oracle_module, "MAX_TURNS", cap)
+        long = [(n, a, b) for n, a, b in raw if -(-n // a) > cap]
+        total, _, skipped = cli.run_grid_verification(6, 2, 2)
+        assert skipped == [{"n": n, "alpha": a, "beta": b} for n, a, b in long]
+        assert total == len(raw) - len(long)
 
 
 def subprocess_env() -> dict:

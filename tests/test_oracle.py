@@ -1,4 +1,4 @@
-"""Score-state dynamic-programming oracle: self-consistency and independence."""
+"""Toss-counting oracle: self-consistency, a score-state reference and independence."""
 
 import inspect
 import math
@@ -76,6 +76,58 @@ def test_matches_analytic_beyond_twenty_turns(n, alpha, beta):
     assert brute_force_hit_pmf(params) == dict(hit_time_distribution(params).pmf)
 
 
+def reference_hit_pmf(params: NormalizedParams) -> dict[int, Poly]:
+    """The win-turn pmf by forward DP over scores, one polynomial in p per score.
+
+    Each turn moves every score's mass up by alpha with weight 1 - p and by
+    alpha + beta with weight p; the mass that reaches n on turn k is pmf[k].
+    It shares no state layout with the oracle, which counts toss sequences.
+    """
+    n, alpha, beta = params.n, params.alpha, params.beta
+    # score -> ascending coefficients of P(score after `turn` turns, not yet won);
+    # every list has length turn + 1 so lists add elementwise
+    alive: dict[int, list[int]] = {0: [1]}
+    pmf: dict[int, Poly] = {}
+    turn = 0
+    while alive:
+        turn += 1
+        step: dict[int, list[int]] = {}
+        won = None
+        for points, c in alive.items():
+            heads = [0, *c]  # c * p
+            tails = [a - b for a, b in zip([*c, 0], heads)]  # c * (1 - p)
+            for target, moved in ((points + alpha, tails), (points + alpha + beta, heads)):
+                if target >= n:
+                    won = moved if won is None else [a + b for a, b in zip(won, moved)]
+                elif target in step:
+                    step[target] = [a + b for a, b in zip(step[target], moved)]
+                else:
+                    step[target] = moved
+        if won is not None:
+            pmf[turn] = Poly(won)
+        alive = step
+    return pmf
+
+
+def test_matches_the_score_reference_on_small_games():
+    games = {nparams(n, a, b) for n in range(1, 41) for a in range(1, 6) for b in range(1, 6)}
+    for params in games:
+        assert brute_force_hit_pmf(params) == reference_hit_pmf(params), params
+
+
+@pytest.mark.parametrize("game", [(100, 1, 1), (150, 2, 3)])
+def test_matches_the_score_reference_beyond_a_hundred_turns(game):
+    params = nparams(*game)
+    assert brute_force_hit_pmf(params) == reference_hit_pmf(params)
+
+
+@pytest.mark.parametrize("game", [(500, 1, 1), (1000, 2, 3)])
+def test_matches_analytic_at_the_turn_cap(game):
+    params = nparams(*game)
+    assert -(-params.n // params.alpha) == oracle_module.MAX_TURNS
+    assert brute_force_hit_pmf(params) == dict(hit_time_distribution(params).pmf)
+
+
 def test_oversized_enumeration_rejected(monkeypatch):
     cap = oracle_module.MAX_TURNS
     with pytest.raises(ParameterError, match="oversized"):
@@ -100,13 +152,13 @@ def test_oracle_is_independent_of_the_analytic_path():
     assert imported <= {"game", "polynomial", "fractions", "__future__", "annotations"}
 
 
-# --- past the cap: the oracle's score-state DP with scalars modulo a prime ----
+# --- past the cap: the reference's score-state DP with scalars modulo a prime ----
 
 PRIME = (1 << 61) - 1  # a Mersenne prime
 
 
 def modular_tie_sum(params: NormalizedParams, r: int) -> int:
-    """sum_k f_k(r)^2 mod PRIME, replaying the oracle's DP with scalar masses."""
+    """sum_k f_k(r)^2 mod PRIME, replaying ``reference_hit_pmf`` with scalar masses."""
     n, alpha, beta = params.n, params.alpha, params.beta
     moves = ((alpha, (1 - r) % PRIME), (alpha + beta, r))
     alive = {0: 1}
