@@ -14,16 +14,15 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import re
 import sys
 
 from .advantage import advantage_polynomial
-from .game import GameParams, NormalizedParams, ParameterError, normalize, parse_rational
-from .minimize import asymptotic_optimum, minimize_advantage
-from .oracle import brute_force_hit_pmf
+from .game import GameParams, ParameterError, normalize, parse_rational
+from .minimize import _check_tol, asymptotic_optimum, minimize_advantage
+from .oracle import run_grid_verification
 from .polynomial import render
 from .simulate import SimConfig, simulate, simulate_at_pstar
 from .stopping import hit_time_distribution
@@ -43,13 +42,13 @@ class Report:
 
     ``doc`` is the JSON document and ``header`` the CSV header.  ``rows``,
     ``text`` and ``latex`` are callables returning the CSV rows and the text
-    and LaTeX lines, so only the requested format is rendered.  ``footer``
-    lines follow the CSV rows as they are; ``code`` is the exit code.
+    and LaTeX lines, so only the requested format is rendered.  ``code`` is
+    the exit code.
     """
 
-    def __init__(self, doc, header, rows, text, latex, footer=(), code=0):
+    def __init__(self, doc, header, rows, text, latex, code=0):
         self.doc, self.header, self.rows, self.text, self.latex = doc, header, rows, text, latex
-        self.footer, self.code = footer, code
+        self.code = code
 
 
 def main(argv=None) -> int:
@@ -97,17 +96,12 @@ def _join_negative_values(argv) -> list[str]:
 
 
 def _emit(fmt: str, report: Report) -> int:
-    if fmt == "json":
-        out = json.dumps(report.doc)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report.header)
-        writer.writerows(report.rows())
-        out = "\n".join([buf.getvalue().rstrip("\n"), *report.footer])
+    if fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows([report.header, *report.rows()])
+    elif fmt == "json":
+        print(json.dumps(report.doc))
     else:
-        out = "\n".join(report.text() if fmt == "text" else report.latex())
-    print(out)
+        print("\n".join(report.text() if fmt == "text" else report.latex()))
     return report.code
 
 
@@ -241,6 +235,7 @@ def _cmd_simulate(args) -> Report:
 
 
 def _cmd_table(args) -> Report:
+    _check_tol(args.tol)
     if args.which in POLYNOMIAL_TABLES:
         rows = polynomial_table(args.which)
         alpha, beta, _ = POLYNOMIAL_TABLES[args.which]
@@ -279,52 +274,10 @@ def _cmd_table(args) -> Report:
     )
 
 
-def _verdict(nparams: NormalizedParams) -> tuple[bool, int | None]:
-    """(checked, first turn k where the analytic and oracle pmfs differ, or None)."""
-    try:
-        expected = brute_force_hit_pmf(nparams)
-    except ParameterError:
-        return False, None
-    got = dict(hit_time_distribution(nparams).pmf)
-    if got == expected:
-        return True, None
-    return True, min(k for k in got.keys() | expected.keys() if got.get(k) != expected.get(k))
-
-
-def run_grid_verification(
-    max_n: int, max_alpha: int, max_beta: int
-) -> tuple[int, list[dict], list[dict]]:
-    """Compare analytic and oracle pmfs over an integer parameter grid.
-
-    Returns (checked case count, mismatch records, skipped records), one
-    record per raw case; each normalized game is checked once.  Cases longer
-    than the oracle's turn cap are skipped.  The analytic pmf is looked up as
-    ``cli.hit_time_distribution`` at each check, so tests patch that name
-    with a corrupted builder.  An empty grid is a ParameterError, not a pass.
-    """
-    if min(max_n, max_alpha, max_beta) < 1:
-        raise ParameterError("max-n, max-alpha and max-beta must be >= 1")
-    verdict = functools.cache(_verdict)
-    mismatches = []
-    skipped = []
-    total = 0
-    for n in range(1, max_n + 1):
-        for alpha in range(1, max_alpha + 1):
-            for beta in range(1, max_beta + 1):
-                checked, bad_k = verdict(normalize(GameParams(n, alpha, beta)))
-                case = {"n": n, "alpha": alpha, "beta": beta}
-                if not checked:
-                    skipped.append(case)
-                    continue
-                total += 1
-                if bad_k is not None:
-                    mismatches.append({**case, "k": bad_k})
-    return total, mismatches, skipped
-
-
 def _cmd_verify(args) -> Report:
-    """Verify's LaTeX output is its text output; its CSV ends with the summary lines."""
-    total, mismatches, skipped = run_grid_verification(args.max_n, args.max_alpha, args.max_beta)
+    """Verify's LaTeX output is its text output; its CSV rows end with the summary lines."""
+    total, mismatches, skipped = run_grid_verification(
+        args.max_n, args.max_alpha, args.max_beta, hit_time_distribution)
     matched = total - len(mismatches)
     summary = [f"{matched}/{total} cases match"]
     doc = {"total": total, "matched": matched, "mismatches": mismatches}
@@ -338,8 +291,8 @@ def _cmd_verify(args) -> Report:
                 for m in mismatches] + summary
 
     return Report(
-        doc, columns, lambda: [[m[c] for c in columns] for m in mismatches], text, text,
-        footer=summary, code=1 if mismatches else 0,
+        doc, columns, lambda: [[m[c] for c in columns] for m in mismatches] + [[line] for line in summary],
+        text, text, code=1 if mismatches else 0,
     )
 
 

@@ -14,13 +14,15 @@ independent check on the analytic construction in ``stopping``.
 At most min(k + 1, n) counts are alive after k turns, so a game that lasts up
 to m = ceil(n/alpha) turns costs O(m^2) big-integer additions for the counts
 and O(m^2 * ceil(alpha/beta)) for the expansion; ``MAX_TURNS`` caps m.
+``run_grid_verification`` checks an analytic pmf builder against the oracle
+over a parameter grid, skipping the games past that cap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .game import NormalizedParams, ParameterError, parse_rational
+from .game import GameParams, NormalizedParams, ParameterError, normalize, parse_rational
 from .polynomial import Poly
 
 # Cap on m = ceil(n/alpha), the most turns a game can last.  At the cap the
@@ -65,6 +67,46 @@ def brute_force_hit_pmf(params: NormalizedParams) -> dict[int, Poly]:
                 out[h:] = [a + c * b for a, b in zip(out[h:], row)] if h < top else [c * b for b in row]
             pmf[turn] = Poly(out)
     return pmf
+
+
+def run_grid_verification(
+    max_n: int, max_alpha: int, max_beta: int, analytic
+) -> tuple[int, list[dict], list[dict]]:
+    """Compare ``analytic`` with the oracle over an integer parameter grid.
+
+    ``analytic`` maps a NormalizedParams to an object whose ``pmf`` maps each
+    win turn to its Poly, as ``stopping.hit_time_distribution`` does.
+    Returns (checked case count, mismatch records, skipped records), one
+    record ``{"n", "alpha", "beta"}`` per raw case on the grid; a mismatch
+    record adds ``k``, the first turn where the two pmfs differ.  Each
+    normalized game is checked once.  A case that can last more than
+    ``MAX_TURNS`` turns is skipped.  An empty grid is a ParameterError, not a
+    pass.
+    """
+    if min(max_n, max_alpha, max_beta) < 1:
+        raise ParameterError("max-n, max-alpha and max-beta must be >= 1")
+    # each game's first turn where the pmfs differ: 0 when they agree, None when skipped
+    verdicts: dict[NormalizedParams, int | None] = {}
+    mismatches, skipped = [], []
+    for n in range(1, max_n + 1):
+        for alpha in range(1, max_alpha + 1):
+            for beta in range(1, max_beta + 1):
+                game = normalize(GameParams(n, alpha, beta))
+                if game not in verdicts:
+                    try:
+                        expected = brute_force_hit_pmf(game)
+                    except ParameterError:  # oversized
+                        verdicts[game] = None
+                    else:
+                        got = analytic(game).pmf
+                        verdicts[game] = 0 if got == expected else min(
+                            k for k in got.keys() | expected.keys() if got.get(k) != expected.get(k))
+                k = verdicts[game]
+                if k is None:
+                    skipped.append({"n": n, "alpha": alpha, "beta": beta})
+                elif k:
+                    mismatches.append({"n": n, "alpha": alpha, "beta": beta, "k": k})
+    return max_n * max_alpha * max_beta - len(skipped), mismatches, skipped
 
 
 def brute_force_advantage(params: NormalizedParams, p: int | Fraction) -> Fraction:

@@ -17,7 +17,11 @@ import cli_golden
 import coinrace.cli as cli
 from coinrace.advantage import advantage_at
 from coinrace.game import GameParams, ParameterError
+from coinrace.minimize import MinimizationResult
+from coinrace.oracle import run_grid_verification
 from coinrace.polynomial import Poly
+from coinrace.stopping import hit_time_distribution
+from coinrace.tables import polynomial_table
 
 GOLDEN = cli_golden.load()
 
@@ -129,9 +133,27 @@ def test_minimize_text(capsys):
     assert abs(value - 0.700) <= 5e-4
 
 
+def test_minimize_text_reports_a_tie(capsys, monkeypatch):
+    tied = MinimizationResult(degenerate=False, bias=0.25, value=0.5, value_exact=Fraction(1, 2),
+                              bracket=(Fraction(1, 4), Fraction(1, 4)), tol=1e-9, tie=True)
+    monkeypatch.setattr(cli, "minimize_advantage", lambda params, tol: tied)
+    code, out, _ = run_cli(capsys, "minimize", "--n", "5", "--alpha", "1", "--beta", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "minimizing bias = 0.25",
+        "advantage at minimum = 0.5",
+        "tie: another critical point attains the same value",
+    ]
+
+
 def test_minimize_degenerate(capsys):
     _, out, _ = run_cli(capsys, "minimize", "--n", "2", "--alpha", "2", "--beta", "1")
     assert "degenerate" in out
+
+
+def test_pstar_nonpositive_value_exits_2(capsys):
+    code, out, err = run_cli(capsys, "pstar", "--alpha", "0", "--beta", "1")
+    assert (code, out, err) == (2, "", "error: alpha and beta must be > 0\n")
 
 
 def test_pstar_values(capsys):
@@ -222,6 +244,11 @@ def test_table_unknown_index(capsys):
     assert "unknown table" in err
 
 
+def test_polynomial_table_rejects_an_unknown_table():
+    with pytest.raises(ParameterError, match="unknown table 7; polynomial tables are 1-5"):
+        polynomial_table(7)
+
+
 def test_table_6_reports_and_annotates(capsys):
     code, out, _ = run_cli(capsys, "table", "6", "--format", "csv", "--tol", "1e-6")
     assert code == 0
@@ -300,7 +327,7 @@ def test_verify_skips_cases_beyond_the_oracle_cap(capsys, monkeypatch):
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 @pytest.mark.parametrize(
     "argv",
-    [["minimize", "--n", "5", "--alpha", "1", "--beta", "1"], ["table", "6"]],
+    [["minimize", "--n", "5", "--alpha", "1", "--beta", "1"], ["table", "1"], ["table", "6"]],
 )
 def test_non_finite_tol_exits_2(capsys, argv, tol):
     code, out, err = run_cli(capsys, *argv, "--tol", tol)
@@ -312,7 +339,7 @@ def test_non_finite_tol_exits_2(capsys, argv, tol):
 @pytest.mark.parametrize("bounds", [(0, 3, 3), (5, 0, 1), (5, 1, -2)])
 def test_empty_verify_grid_is_a_parameter_error(bounds):
     with pytest.raises(ParameterError):
-        cli.run_grid_verification(*bounds)
+        run_grid_verification(*bounds, hit_time_distribution)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
@@ -327,8 +354,6 @@ def test_verify_bound_below_one_exits_2(capsys, fmt, flag):
 def corrupted(params):
     """The analytic pmf, with its last turn off by p in the game (3, 1, 1) only."""
     from types import MappingProxyType
-
-    from coinrace.stopping import hit_time_distribution
 
     dist = hit_time_distribution(params)
     pmf = dict(dist.pmf)
@@ -358,11 +383,10 @@ def test_verify_checks_each_normalized_game_once(monkeypatch):
         built.append(params)
         return corrupted(params)
 
-    monkeypatch.setattr(cli, "hit_time_distribution", counting)
     raw = [(n, a, b) for n in range(1, 7) for a in (1, 2) for b in (1, 2)]
     games = {normalize(GameParams(*case)) for case in raw}
     assert len(games) < len(raw)
-    total, mismatches, skipped = cli.run_grid_verification(6, 2, 2)
+    total, mismatches, skipped = run_grid_verification(6, 2, 2, counting)
     assert (total, skipped) == (len(raw), [])
     assert mismatches == [{"n": 3, "alpha": 1, "beta": 1, "k": 3}, {"n": 6, "alpha": 2, "beta": 2, "k": 3}]
     assert len(built) == len(set(built)) == len(games)
@@ -371,7 +395,7 @@ def test_verify_checks_each_normalized_game_once(monkeypatch):
     for cap in (3, 2):
         monkeypatch.setattr(oracle_module, "MAX_TURNS", cap)
         long = [(n, a, b) for n, a, b in raw if -(-n // a) > cap]
-        total, _, skipped = cli.run_grid_verification(6, 2, 2)
+        total, _, skipped = run_grid_verification(6, 2, 2, counting)
         assert skipped == [{"n": n, "alpha": a, "beta": b} for n, a, b in long]
         assert total == len(raw) - len(long)
 

@@ -200,6 +200,14 @@ def test_non_finite_ratio_is_a_parameter_error(alpha, beta):
         limiting_variance(0.5, alpha, beta)
 
 
+@pytest.mark.parametrize("alpha,beta", [(0, 1), (1, 0), (-1, 2), (2, "-1/2")])
+def test_nonpositive_ratio_is_a_parameter_error(alpha, beta):
+    with pytest.raises(ParameterError, match="alpha and beta must be > 0"):
+        _limit_bias(alpha, beta)
+    with pytest.raises(ParameterError, match="alpha and beta must be > 0"):
+        limiting_variance(0.5, alpha, beta)
+
+
 def test_limiting_variance_grid_argmin():
     # scan at step 1e-4: the argmin should sit within one step of 2 - sqrt(3)
     best_p = min((limiting_variance(i / 10**4, 1, 1), i / 10**4) for i in range(1, 10**4))[1]
