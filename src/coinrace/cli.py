@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from decimal import Decimal
 
 from .advantage import advantage_polynomial
 from .game import GameParams, ParameterError, normalize, parse_rational
@@ -153,16 +154,23 @@ def _params(args) -> GameParams:
     return GameParams(args.n, args.alpha, args.beta)
 
 
+def _exact(x) -> str:
+    """``str(x)`` of a Fraction, also past CPython's cap on the digits of an int, which Decimal lacks."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
 def _cmd_poly(args) -> Report:
     result = advantage_polynomial(_params(args))
     poly = result.poly
     suffix = " (degenerate: advantage is 1 for every p)" if result.degenerate else ""
+    n, alpha, beta = map(_exact, (args.n, args.alpha, args.beta))
     return Report(
-        {"n": str(args.n), "alpha": str(args.alpha), "beta": str(args.beta),
+        {"n": n, "alpha": alpha, "beta": beta,
          "l": result.bounds.l, "m": result.bounds.m, "degenerate": result.degenerate,
          "degree": poly.degree, "coefficients": [str(c) for c in poly.coeffs]},
         ["n", "alpha", "beta", "degenerate", "degree", "polynomial"],
-        lambda: [[args.n, args.alpha, args.beta, result.degenerate, poly.degree, render(poly)]],
+        lambda: [[n, alpha, beta, result.degenerate, poly.degree, render(poly)]],
         lambda: [render(poly) + suffix],
         lambda: [f"${render(poly, latex=True)}$"],
     )
@@ -193,26 +201,28 @@ def _cmd_minimize(args) -> Report:
         return lines
 
     bias = "-" if r.degenerate else f"{r.bias:.6f}"
+    n, alpha, beta = map(_exact, (args.n, args.alpha, args.beta))
     return Report(
-        {"n": str(args.n), "alpha": str(args.alpha), "beta": str(args.beta),
+        {"n": n, "alpha": alpha, "beta": beta,
          "degenerate": r.degenerate, "bias": r.bias, "value": r.value, "tol": r.tol, "tie": r.tie,
          "bracket": [str(end) for end in r.bracket] if r.bracket else None},
         ["n", "alpha", "beta", "degenerate", "bias", "value", "tol"],
-        lambda: [[args.n, args.alpha, args.beta, r.degenerate, r.bias, r.value, r.tol]],
+        lambda: [[n, alpha, beta, r.degenerate, r.bias, r.value, r.tol]],
         text,
-        lambda: [f"{args.n} & {args.alpha} & {args.beta} & {bias} & {r.value:.3f} \\\\"],
+        lambda: [f"{n} & {alpha} & {beta} & {bias} & {r.value:.3f} \\\\"],
     )
 
 
 def _cmd_pstar(args) -> Report:
     opt = asymptotic_optimum(args.alpha, args.beta)
+    alpha, beta = _exact(args.alpha), _exact(args.beta)
     return Report(
-        {"alpha": str(args.alpha), "beta": str(args.beta), "t": str(opt.t),
+        {"alpha": alpha, "beta": beta, "t": str(opt.t),
          "p_star": opt.bias, "variance": opt.variance},
         ["alpha", "beta", "t", "p_star", "variance"],
-        lambda: [[args.alpha, args.beta, opt.t, repr(opt.bias), repr(opt.variance)]],
+        lambda: [[alpha, beta, opt.t, repr(opt.bias), repr(opt.variance)]],
         lambda: [f"t = {opt.t}", f"p_star = {opt.bias!r}", f"variance at p_star = {opt.variance!r}"],
-        lambda: [f"{args.alpha} & {args.beta} & {opt.bias:.9f} \\\\"],
+        lambda: [f"{alpha} & {beta} & {opt.bias:.9f} \\\\"],
     )
 
 

@@ -70,9 +70,12 @@ class TurnBounds(NamedTuple):
 
 
 def validate(params: GameParams) -> GameParams:
-    """Return ``params`` unchanged if all three values are strictly positive."""
-    for name in ("n", "alpha", "beta"):
-        if getattr(params, name) <= 0:
+    """Return ``params`` unchanged if all three values are strictly positive.
+
+    A Fraction's denominator is positive, so its numerator carries its sign.
+    """
+    for name, value in zip(params._fields, params):
+        if value.numerator <= 0:
             raise ParameterError(f"{name} must be > 0")
     return params
 
@@ -81,13 +84,21 @@ def normalize(params: GameParams) -> NormalizedParams:
     """Scale a valid triple to coprime positive integers.
 
     Multiplying (n, alpha, beta) by any positive rational leaves the game
-    unchanged, so clear denominators and divide out the common factor.
+    unchanged, so clear the denominators with their lcm and hand the integer
+    triple to ``coprime``.  No Fraction arithmetic is done.
     """
     validate(params)
-    scale = lcm(*(v.denominator for v in params))
-    n, a, b = (v.numerator * (scale // v.denominator) for v in params)
-    g = gcd(n, a, b)
-    return NormalizedParams(n // g, a // g, b // g)
+    n, a, b = params
+    scale = lcm(n.denominator, a.denominator, b.denominator)
+    return coprime(n.numerator * (scale // n.denominator),
+                   a.numerator * (scale // a.denominator),
+                   b.numerator * (scale // b.denominator))
+
+
+def coprime(n: int, alpha: int, beta: int) -> NormalizedParams:
+    """The game of the positive integers (n, alpha, beta), with their gcd divided out."""
+    g = gcd(n, alpha, beta)
+    return NormalizedParams(n // g, alpha // g, beta // g)
 
 
 def turn_bounds(params: NormalizedParams) -> TurnBounds:

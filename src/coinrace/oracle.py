@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .game import GameParams, NormalizedParams, ParameterError, normalize, parse_rational
+from .game import NormalizedParams, ParameterError, coprime, parse_rational
 from .polynomial import Poly
 
 # Cap on m = ceil(n/alpha), the most turns a game can last.  At the cap the
@@ -78,10 +78,11 @@ def run_grid_verification(
     win turn to its Poly, as ``stopping.hit_time_distribution`` does.
     Returns (checked case count, mismatch records, skipped records), one
     record ``{"n", "alpha", "beta"}`` per raw case on the grid; a mismatch
-    record adds ``k``, the first turn where the two pmfs differ.  Each
-    normalized game is checked once.  A case that can last more than
-    ``MAX_TURNS`` turns is skipped.  An empty grid is a ParameterError, not a
-    pass.
+    record adds ``k``, the first turn where the two pmfs differ.  Each raw
+    case is reduced to its game by ``game.coprime``, which divides out
+    gcd(n, alpha, beta) in integers, and each game is checked once.  A case
+    that can last more than ``MAX_TURNS`` turns is skipped.  An empty grid is
+    a ParameterError, not a pass.
     """
     if min(max_n, max_alpha, max_beta) < 1:
         raise ParameterError("max-n, max-alpha and max-beta must be >= 1")
@@ -91,7 +92,7 @@ def run_grid_verification(
     for n in range(1, max_n + 1):
         for alpha in range(1, max_alpha + 1):
             for beta in range(1, max_beta + 1):
-                game = normalize(GameParams(n, alpha, beta))
+                game = coprime(n, alpha, beta)
                 if game not in verdicts:
                     try:
                         expected = brute_force_hit_pmf(game)

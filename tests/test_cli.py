@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cli_golden
 import coinrace.cli as cli
@@ -93,6 +95,33 @@ def test_a_game_past_pythons_int_and_list_sizes_exits_2_with_one_line(capsys, co
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: this game is too large to compute"]
+
+
+@pytest.mark.parametrize("fmt", cli_golden.FORMATS)
+@pytest.mark.parametrize("command,n", [("minimize", 1), ("poly", 2)])
+def test_a_game_scaled_past_the_int_digit_cap_answers(capsys, command, n, fmt):
+    # (n, 1, 1) times 10^5000: the echoes are 5001-digit integers, past str(int)'s default cap
+    small = run_cli(capsys, command, "--n", str(n), "--alpha", "1", "--beta", "1", "--format", fmt)
+    code, out, err = run_cli(capsys, command, "--n", f"{n}e5000", "--alpha", "1e5000", "--beta", "1e5000",
+                             "--format", fmt)
+    assert (code, out.replace("0" * 5000, ""), err) == small
+    if fmt == "json":
+        doc = json.loads(out)
+        assert [doc["n"], doc["alpha"], doc["beta"]] == [f"{v}" + "0" * 5000 for v in (n, 1, 1)]
+
+
+def test_a_tiny_scale_echoes_its_exact_fraction(capsys):
+    code, out, _ = run_cli(capsys, "minimize", "--n", "1e-5000", "--alpha", "1e-5000", "--beta", "3e-5000",
+                           "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert [doc["n"], doc["alpha"], doc["beta"]] == [f"{v}/1" + "0" * 5000 for v in (1, 1, 3)]
+
+
+def test_a_plain_decimal_past_the_int_digit_cap_is_still_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "minimize", "--n", "1" * 4301, "--alpha", "1", "--beta", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and "invalid parse_rational value" in err
 
 
 def test_poly_json_round_trip(capsys):
@@ -445,3 +474,76 @@ def test_the_parser_is_built_on_the_first_call_and_reused():
     assert after_import == 0
     assert after_first > 0
     assert after_second == after_first
+
+
+# --- the CLI contract as a property: exit 0, 1 or 2, and never a traceback ----
+
+TOLS = ["1e-9", "1e-4", "2.220446049250313e-16", "1e-30", "0", "-1e-9", "nan", "inf", "x"]
+SPOILERS = ["0", "-", "nan", "-inf", "inf", "Infinity", "x", "1/0", ""]  # "-" negates the value
+
+
+@st.composite
+def game_flags(draw, names=("n", "alpha", "beta")):
+    """A small game (normalized m <= 50) in assorted spellings, a quarter of them with one field spoiled.
+
+    All fields share one scale factor: an integer, a fraction, 10^k with |k|
+    up to 6000, or 1/8 in decimal notation.  The scale reaches the big-number
+    paths while the game stays small.
+    """
+    game = {"n": draw(st.integers(1, 50)), "alpha": draw(st.integers(1, 5)), "beta": draw(st.integers(1, 5))}
+    scale = draw(st.sampled_from(["int", "frac", "exp", "dec"]))
+    c = draw(st.integers(1, 10**6))
+    k = draw(st.sampled_from([-6000, -4400, 4400, 6000]) | st.integers(-6000, 6000))
+
+    def spell(v):
+        if scale == "int":
+            return str(v * c)
+        if scale == "frac":
+            return f"{v}/{c}"
+        if scale == "exp":
+            return draw(st.sampled_from([f"{v}e{k}", f"{v}0E{k - 1}", f"{v}.0e{k}"]))
+        return repr(v / 8)  # exact: v/8 is a short binary fraction
+
+    values = {name: spell(game[name]) for name in names}
+    if draw(st.integers(0, 3)) == 0:
+        name, spoiler = draw(st.sampled_from(names)), draw(st.sampled_from(SPOILERS))
+        values[name] = "-" + values[name] if spoiler == "-" else spoiler
+    return [arg for name in names for arg in (f"--{name}", values[name])]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["poly", "pmf", "minimize", "pstar", "simulate", "table", "verify"]))
+    if command == "pstar":
+        argv = [command, *draw(game_flags(("alpha", "beta")))]
+    elif command == "table":
+        argv = [command, str(draw(st.integers(-1, 7))), "--tol", draw(st.sampled_from(TOLS))]
+    elif command == "verify":
+        argv = [command, *(a for flag in ("--max-n", "--max-alpha", "--max-beta")
+                           for a in (flag, str(draw(st.integers(-1, 4)))))]
+    else:
+        argv = [command, *draw(game_flags())]
+    if command == "minimize":
+        argv += ["--tol", draw(st.sampled_from(TOLS))]
+    if command == "simulate":
+        p = draw(st.sampled_from(["0", "1", "1/3", "0.5", "2.5e-1", "1e-5000", "-0.5", "3/2", "nan", None]))
+        argv += ["--at-pstar"] if p is None else ["--p", p]
+        argv += ["--trials", str(draw(st.integers(-1, 100))), "--workers", str(draw(st.integers(-1, 2))),
+                 "--seed", str(draw(st.sampled_from([0, 1, 2**64 - 1, 2**64, -1])))]
+    fmt = draw(st.sampled_from(cli_golden.FORMATS)) if draw(st.integers(0, 9)) else "xml"
+    return argv + ["--format", fmt]
+
+
+@settings(deadline=None, max_examples=300)
+@given(cli_argv())
+def test_every_command_line_ends_with_a_known_exit_code(argv):
+    result = cli_golden.run(None, argv)  # an exception escaping main fails the test
+    code, out, err = result["code"], result["stdout"], result["stderr"]
+    assert code in (0, 1, 2)
+    if code == 2 and not err.startswith("usage:"):  # a domain error, after parsing
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if code == 0:
+        assert out and err == ""
+        if argv[-1] == "json":
+            json.loads(out)

@@ -11,6 +11,7 @@ from coinrace.game import (
     GameParams,
     NormalizedParams,
     ParameterError,
+    coprime,
     normalize,
     parse_rational,
     turn_bounds,
@@ -107,3 +108,37 @@ def test_bounds_are_ordered(n, alpha, beta):
 def test_non_finite_parameters_are_parameter_errors(args):
     with pytest.raises(ParameterError, match="not a valid rational"):
         GameParams(*args)
+
+
+def fraction_formula(n: Fraction, alpha: Fraction, beta: Fraction) -> NormalizedParams:
+    """(n, alpha, beta) in Fraction arithmetic: times the lcm of the denominators, over the gcd."""
+    scaled = [v * math.lcm(n.denominator, alpha.denominator, beta.denominator) for v in (n, alpha, beta)]
+    g = math.gcd(*(int(v) for v in scaled))
+    return NormalizedParams(*(int(v / g) for v in scaled))
+
+
+powers_of_ten = st.integers(-6000, 6000).map(lambda k: Fraction(10) ** k)
+scales = st.one_of(st.just(Fraction(1)), positive_rationals, powers_of_ten)
+
+
+@given(wide_rationals, wide_rationals, wide_rationals, scales)
+def test_normalize_equals_the_fraction_formula(n, alpha, beta, c):
+    assert normalize(GameParams(c * n, c * alpha, c * beta)) == fraction_formula(n, alpha, beta)
+    assert normalize(GameParams(n, alpha, beta)) == fraction_formula(n, alpha, beta)
+
+
+@pytest.mark.parametrize("bad", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
+@pytest.mark.parametrize("value", [0, -1, "-1/2", "-1e-5000"])
+def test_the_first_non_positive_field_is_named(bad, value):
+    args = [value if i in bad else "1/3" for i in range(3)]
+    first = ("n", "alpha", "beta")[bad[0]]
+    for check in (validate, normalize):
+        with pytest.raises(ParameterError, match=f"^{first} must be > 0$"):
+            check(GameParams(*args))
+
+
+def test_coprime_is_normalize_on_integers():
+    for n in range(1, 21):
+        for alpha in range(1, 6):
+            for beta in range(1, 6):
+                assert coprime(n, alpha, beta) == normalize(GameParams(n, alpha, beta))
