@@ -43,8 +43,9 @@ class Report:
 
     ``doc`` is the JSON document and ``header`` the CSV header.  ``rows``,
     ``text`` and ``latex`` are callables returning the CSV rows and the text
-    and LaTeX lines, so only the requested format is rendered.  ``code`` is
-    the exit code.
+    and LaTeX lines, so only the requested format is rendered.  ``rows`` may
+    be None: the CSV output is then the one row of the document's values at
+    the header's keys.  ``code`` is the exit code.
     """
 
     def __init__(self, doc, header, rows, text, latex, code=0):
@@ -98,7 +99,8 @@ def _join_negative_values(argv) -> list[str]:
 
 def _emit(fmt: str, report: Report) -> int:
     if fmt == "csv":
-        csv.writer(sys.stdout, lineterminator="\n").writerows([report.header, *report.rows()])
+        rows = report.rows() if report.rows else [[report.doc[key] for key in report.header]]
+        csv.writer(sys.stdout, lineterminator="\n").writerows([report.header, *rows])
     elif fmt == "json":
         print(json.dumps(report.doc))
     else:
@@ -206,8 +208,7 @@ def _cmd_minimize(args) -> Report:
         {"n": n, "alpha": alpha, "beta": beta,
          "degenerate": r.degenerate, "bias": r.bias, "value": r.value, "tol": r.tol, "tie": r.tie,
          "bracket": [str(end) for end in r.bracket] if r.bracket else None},
-        ["n", "alpha", "beta", "degenerate", "bias", "value", "tol"],
-        lambda: [[n, alpha, beta, r.degenerate, r.bias, r.value, r.tol]],
+        ["n", "alpha", "beta", "degenerate", "bias", "value", "tol"], None,
         text,
         lambda: [f"{n} & {alpha} & {beta} & {bias} & {r.value:.3f} \\\\"],
     )
@@ -219,8 +220,7 @@ def _cmd_pstar(args) -> Report:
     return Report(
         {"alpha": alpha, "beta": beta, "t": str(opt.t),
          "p_star": opt.bias, "variance": opt.variance},
-        ["alpha", "beta", "t", "p_star", "variance"],
-        lambda: [[alpha, beta, opt.t, repr(opt.bias), repr(opt.variance)]],
+        ["alpha", "beta", "t", "p_star", "variance"], None,
         lambda: [f"t = {opt.t}", f"p_star = {opt.bias!r}", f"variance at p_star = {opt.variance!r}"],
         lambda: [f"{alpha} & {beta} & {opt.bias:.9f} \\\\"],
     )
@@ -236,8 +236,7 @@ def _cmd_simulate(args) -> Report:
         {"trials": r.trials, "wins": r.wins, "frequency": r.frequency, "stderr": r.stderr,
          "seed": r.seed, "workers": args.workers,
          "turn_histogram": {str(k): v for k, v in r.turn_histogram.items()}},
-        ["trials", "wins", "frequency", "stderr", "seed", "workers"],
-        lambda: [[r.trials, r.wins, repr(r.frequency), repr(r.stderr), r.seed, args.workers]],
+        ["trials", "wins", "frequency", "stderr", "seed", "workers"], None,
         lambda: [f"trials = {r.trials}", f"wins = {r.wins}", f"frequency = {r.frequency!r}",
                  f"stderr = {r.stderr!r}", f"seed = {r.seed}"],
         lambda: [f"{r.trials} & {r.wins} & {r.frequency:.4f} & {r.stderr:.5f} \\\\"],

@@ -13,7 +13,8 @@ independent check on the analytic construction in ``stopping``.
 
 At most min(k + 1, n) counts are alive after k turns, so a game that lasts up
 to m = ceil(n/alpha) turns costs O(m^2) big-integer additions for the counts
-and O(m^2 * ceil(alpha/beta)) for the expansion; ``MAX_TURNS`` caps m.
+and O(m^2 * ceil(alpha/beta)) for the expansion; ``MAX_TURNS`` caps m at
+1000, so the oracle reaches the longest games the exact pipeline is tested at.
 ``run_grid_verification`` checks an analytic pmf builder against the oracle
 over a parameter grid, skipping the games past that cap.
 """
@@ -26,9 +27,9 @@ from .game import NormalizedParams, ParameterError, coprime, parse_rational
 from .polynomial import Poly
 
 # Cap on m = ceil(n/alpha), the most turns a game can last.  At the cap the
-# costliest games (alpha = beta = 1) take about 0.04 s on one core of a
+# costliest games (alpha = beta = 1) take about 0.4 s on one core of a
 # 2-CPU x86-64 machine under CPython 3.11, and the cost grows like m^3.
-MAX_TURNS = 500
+MAX_TURNS = 1000
 
 
 def brute_force_hit_pmf(params: NormalizedParams) -> dict[int, Poly]:

@@ -65,12 +65,10 @@ def simulate(config: SimConfig) -> SimResult:
         (nparams.n, nparams.alpha, nparams.beta, float(config.p), share, _stream_seed(config.seed, w))
         for w, share in enumerate(shares)
     ]
-    outcomes = _run_jobs(jobs, config.workers)
-    wins = 0
     histogram: Counter[int] = Counter()
-    for stream_wins, stream_hist in outcomes:
-        wins += stream_wins
-        histogram.update(stream_hist)
+    for tally in _run_jobs(jobs):
+        histogram.update(tally)
+    wins = sum(c for t, c in histogram.items() if t > 0)
     frequency = wins / config.trials
     return SimResult(
         trials=config.trials,
@@ -116,8 +114,8 @@ def _stream_seed(seed: int, worker: int) -> int:
     return x ^ (x >> 31)
 
 
-def _run_jobs(jobs: list[tuple], workers: int) -> list[tuple[int, dict[int, int]]]:
-    processes = min(workers, len(jobs), os.cpu_count() or 1)
+def _run_jobs(jobs: list[tuple]) -> list[dict[int, int]]:
+    processes = min(len(jobs), os.cpu_count() or 1)  # len(jobs) is min(workers, trials)
     if processes > 1:
         # imported here so that importing the package (and every CLI start) skips the pool
         from concurrent.futures import ProcessPoolExecutor
@@ -130,7 +128,7 @@ def _run_jobs(jobs: list[tuple], workers: int) -> list[tuple[int, dict[int, int]
     return [_run_stream(job) for job in jobs]
 
 
-def _run_stream(job: tuple) -> tuple[int, dict[int, int]]:
+def _run_stream(job: tuple) -> dict[int, int]:
     n, alpha, beta, p, trials, stream_seed = job
     # the exact C type: CPython 3.11+ specializes gen.random() on it, not on a random.Random or a bound .random
     gen = _random.Random(stream_seed)
@@ -162,4 +160,4 @@ def _run_stream(job: tuple) -> tuple[int, dict[int, int]]:
                 turn = -turn
                 break
         counts[turn] = counts.get(turn, 0) + 1
-    return sum(c for t, c in counts.items() if t > 0), counts
+    return counts

@@ -235,12 +235,20 @@ def test_advantage_at_limit_bias():
     assert advantage_at_asymptotic(GameParams(15, 1, 3)) == pytest.approx(expected, abs=1e-15)
 
 
-def test_convergence_toward_limit_bias():
-    limit = asymptotic_optimum(1, 1).bias
-    gap_10 = abs(minimize_advantage(GameParams(10, 1, 1)).bias - limit)
-    gap_50 = abs(minimize_advantage(GameParams(50, 1, 1)).bias - limit)
-    assert gap_50 < gap_10
-    assert gap_50 < 0.05
+@pytest.mark.parametrize("game", [(500, 1, 1), (1000, 2, 1), (1500, 3, 1)])
+def test_minimizer_approaches_the_limit_bias_like_one_over_m_for_integer_ratios(game):
+    # m (p_n - p*) reads 0.112, 0.069 and 0.049 at m = 500 for t = alpha/beta = 1, 2, 3
+    n, alpha, beta = game
+    m = -(-n // alpha)
+    scaled_gap = m * (minimize_advantage(GameParams(*game)).bias - asymptotic_optimum(alpha, beta).bias)
+    assert 0 < scaled_gap < 0.15
+
+
+@pytest.mark.parametrize("game", [(500, 1, 2), (1000, 2, 3), (750, 3, 2)])
+def test_limit_bias_is_not_the_minimizers_limit_for_other_ratios(game):
+    # |p_n - p*| reads 0.092, 0.056 and 0.014 for t = 1/2, 2/3, 3/2: p_n tends elsewhere
+    _, alpha, beta = game
+    assert abs(minimize_advantage(GameParams(*game)).bias - asymptotic_optimum(alpha, beta).bias) > 0.01
 
 
 FLOOR_GAMES = [
@@ -830,8 +838,8 @@ def test_tol_must_be_finite(tol):
         minimize_advantage(GameParams(2, 2, 1), tol=tol)  # degenerate games too
 
 
-@pytest.mark.parametrize("game", [(51, 1, 1), (45, 1, 2)])
-def test_isolation_agrees_with_sympy_at_degree_near_100(game):
+@pytest.mark.parametrize("game", [(51, 1, 1), (45, 1, 2), (100, 1, 1), (150, 2, 3), (90, 1, 2)])
+def test_isolation_agrees_with_sympy_from_degree_near_100_to_the_large_exact_games(game):
     sympy = pytest.importorskip("sympy")
     dpoly = advantage_polynomial(GameParams(*game)).poly.derivative()
     tol = Fraction(1, 10**12)

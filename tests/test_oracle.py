@@ -121,7 +121,7 @@ def test_matches_the_score_reference_beyond_a_hundred_turns(game):
     assert brute_force_hit_pmf(params) == reference_hit_pmf(params)
 
 
-@pytest.mark.parametrize("game", [(500, 1, 1), (1000, 2, 3)])
+@pytest.mark.parametrize("game", [(1000, 1, 1), (2000, 2, 3)])
 def test_matches_analytic_at_the_turn_cap(game):
     params = nparams(*game)
     assert -(-params.n // params.alpha) == oracle_module.MAX_TURNS
@@ -186,7 +186,7 @@ def mod_eval(coeffs, r: int) -> int:
     return acc
 
 
-@pytest.mark.parametrize("game", [(700, 1, 1), (1100, 2, 3)])
+@pytest.mark.parametrize("game", [(1100, 1, 1), (2100, 2, 3)])
 def test_advantage_past_the_oracle_cap_at_random_points(game):
     # A wrong polynomial of degree <= 2m - 2 agrees with I at a random point
     # modulo PRIME with probability at most (2m - 2)/PRIME (Schwartz-Zippel).

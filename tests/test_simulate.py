@@ -182,9 +182,9 @@ def test_an_exact_p_is_rounded_once_before_the_streams(monkeypatch):
     jobs = []
     run_jobs = simulate_module._run_jobs
 
-    def capture(js, workers):
+    def capture(js):
         jobs.extend(js)
-        return run_jobs(js, workers)
+        return run_jobs(js)
 
     monkeypatch.setattr(simulate_module, "_run_jobs", capture)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)  # both streams in this process
@@ -229,6 +229,14 @@ def reference_play(rng, n: int, alpha: int, beta: int, p: float) -> int:
             return -turns
 
 
+def assert_stream_matches_reference(job: tuple) -> None:
+    """`_run_stream`'s tally is the reference's, and the reference's win count is its positive turns."""
+    tally = simulate_module._run_stream(job)
+    wins, histogram = reference_run_stream(job)
+    assert tally == histogram, job
+    assert sum(c for t, c in tally.items() if t > 0) == wins, job
+
+
 EDGE_BIASES = [0.0, 1.0, 0.3, asymptotic_optimum(1, 1).bias, 1 - 2**-53, 2**-60]
 # unmixed stream seeds: one- and two-word init_by_array keys, one of them with a zero low word
 RAW_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -253,7 +261,7 @@ def test_fused_stream_matches_per_game_reference(alpha, beta, n):
         jobs = [(n, alpha, beta, p, 300, simulate_module._stream_seed(seed, 0)) for seed in (0, 12345, 2**64 - 1)]
         jobs += [(n, alpha, beta, p, 100, stream_seed) for stream_seed in RAW_STREAM_SEEDS]
         for job in jobs:
-            assert simulate_module._run_stream(job) == reference_run_stream(job), job
+            assert_stream_matches_reference(job)
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,8 +273,7 @@ def test_fused_stream_matches_per_game_reference(alpha, beta, n):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_fused_stream_matches_reference_on_random_games(n, alpha, beta, p, seed):
-    job = (n, alpha, beta, p, 50, seed)
-    assert simulate_module._run_stream(job) == reference_run_stream(job)
+    assert_stream_matches_reference((n, alpha, beta, p, 50, seed))
 
 
 def test_histogram_memory_does_not_grow_with_n():
