@@ -13,22 +13,27 @@ per j, slot j holding c_j.  In this basis:
 * f_k is packed from its slots, ``coinrace.stopping.win_turn_slots``, which
   also builds the pmf;
 * multiplying by p + q = 1 raises the degree by one: ``S + (S << w)``;
-* B_m = (1 + 2^w)^m holds C(m, j) in slot j, so it is (p + q)^m = 1;
+* B_e = (1 + 2^w)^e holds C(e, j) in slot j, so it is (p + q)^e = 1;
 * 2I = (p + q)^(2m) + sum_(k=l..m) f_k^2 (p + q)^(2(m-k)), accumulated by
-  Horner in (p + q)^2: ``S = S + (S << (w+1)) + (S << 2w) + f_k^2``.
+  Horner in (p + q)^2 from S = B_(l-1)^2, which the m - l + 1 turns raise to
+  (p + q)^(2m): ``S = S + (S << (w+1)) + (S << 2w) + f_k^2``.
 
-No slot ever carries or borrows.  Every packed value above has nonnegative
-slots (the slots of f_k are binomials), and the slots of a homogeneous form
-of degree e sum to its value at p = q = 1, which is 2^e times its value at
-p = 1/2.  So the slots of 2I sum to 4^m * 2I(1/2) <= 2 * 4^m, because I <= 1;
-every intermediate (f_k^2 <= 4^k, B_m^2 = 4^m, each partial S <= 4^k and
-each of its shifted parts) is a sum of nonnegative terms below that.  Slots
-of w = 8 * ((2m + 3) // 8 + 1) > 2m + 1 bits hold them, and whole-byte slots
-unpack in linear time through ``int.to_bytes``.
+No slot of S ever carries or borrows.  Every packed value above has
+nonnegative slots (the slots of f_k are binomials), and the slots of a
+homogeneous form of degree e sum to its value at p = q = 1, which is 2^e
+times its value at p = 1/2.  So the slots of 2I sum to 4^m * 2I(1/2) <= 2 * 4^m,
+because I <= 1; every intermediate (f_k^2 <= 4^k, the start 4^(l-1), each
+partial S after turn k <= 2 * 4^k and each of its shifted parts) is a sum of
+nonnegative terms below that.  Slots of w = 8 * ((2m + 3) // 8 + 1) > 2m + 1
+bits hold them, and whole-byte slots unpack in linear time through
+``int.to_bytes``.
 
-The packed telescoping sum F = sum_k f_k (p + q)^(m-k) must equal B_m, i.e.
-the win-turn masses sum to 1; it costs one add per turn and checks every
-turn's slots.  The homogeneous coefficients are converted to monomials once.
+The win-turn masses must sum to 1.  A second Horner sum, in p + q, starts at
+-B_(l-1) and adds f_k each turn, so it ends at sum_k f_k (p + q)^(m-k) - B_m.
+Both of those packed forms have slots in [0, 2^w), so the sum is the integer
+0 exactly when they are equal slot by slot.  It costs one add per turn and
+checks every turn's slots.  The homogeneous coefficients are converted to
+monomials once.
 """
 
 from __future__ import annotations
@@ -54,18 +59,20 @@ def _doubled_advantage(params: NormalizedParams, bounds: TurnBounds) -> list[int
     """Homogeneous coefficients of 2I = 1 + sum_k f_k^2 in degree 2m (see the module docstring)."""
     m = bounds.m
     w = 8 * ((2 * m + 3) // 8 + 1)
-    total = telescoped = 0
+    total = None
     for k in range(bounds.l, m + 1):
         j0, slots = win_turn_slots(k, params)
         top = 0
         for c in reversed(slots):
             top = (top << w) + c
-        total += (total << (w + 1)) + (total << (2 * w)) + (top * top << (2 * j0 * w))
-        telescoped += (telescoped << w) + (top << (j0 * w))
-    binom = (1 + (1 << w)) ** m
-    if telescoped != binom:
+        square, top = top * top << (2 * j0 * w), top << (j0 * w)
+        if total is None:  # after the first turn's shifts, which overflow first on a game too large
+            start = (1 + (1 << w)) ** (bounds.l - 1)
+            total, telescoped = start * start, -start
+        total += (total << (w + 1)) + (total << (2 * w)) + square
+        telescoped += (telescoped << w) + top
+    if telescoped:
         raise ConsistencyError(f"win-turn masses for {params} do not sum to 1")
-    total += binom * binom
     size = w // 8
     digits = total.to_bytes(size * (2 * m + 1), "little")
     return [int.from_bytes(digits[i : i + size], "little") for i in range(0, len(digits), size)]

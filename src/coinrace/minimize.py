@@ -38,7 +38,9 @@ precision only where an error bound certifies it, and in integers otherwise.
    Comput. Algebra 48(1), 2014; Kerber & Sagraloff, ISSAC 2011): a secant
    step picks a window that shrinks quadratically while it keeps holding the
    root, and halving takes over when it misses, so a root costs O(log depth)
-   evaluations, each an exact sign in integers.  Nodes are integer pairs
+   evaluations.  Each reads an exact sign from a fixed-point Horner sum
+   whose error bound certifies it, at 64, 128, ... fraction bits, or from
+   the exact integer value where none does.  Nodes are integer pairs
    (a, s) for (a/2^s, (a+1)/2^s), and the tolerance is read once as the
    depth s at which they stop.
 
@@ -417,42 +419,74 @@ def _bisect(
     the secant point is tried at both ends; N squares when the root is in it
     and falls back towards 2 when not.  At N = 2, or while a bound's value is
     unknown, the gap is halved.  Each point inside the bounds is evaluated
-    exactly once, at its lowest dyadic level, which the power-of-two window
-    keeps coarse: a zero is the root, and any other sign moves that bound.
-    Every decision is an exact sign, so the result is the root's cell at
-    depth, or the root itself.
+    once, at its lowest dyadic level, which the power-of-two window keeps
+    coarse, by ``_signed_value``: low precision, but an exact sign.  The
+    secant reads both bounds' values at the finer of their two scales.  A
+    zero is the root, and any other sign moves that bound.  Every decision
+    is an exact sign, so the result is the root's cell at depth, or the root
+    itself.
     """
     if x[0] * x[-1] >= 0:
         raise ConsistencyError("isolated bracket must straddle a sign change")
     left_positive = x[0] > 0
-    d = len(monomial) - 1
     lo, hi = a << (depth - s), (a + 1) << (depth - s)
-    f_lo = f_hi = 0  # the values at lo and hi times 2^(depth*d), 0 until evaluated
+    f_lo = f_hi = None  # (y, r): the value at lo or hi is about y / 2^r; None until evaluated
     n = 4
     while hi - lo > 1:
         w = 0
         if f_lo and f_hi and n > 2:
             w = 1 << max((hi - lo) // n, 1).bit_length() - 1
-            c = (lo + (hi - lo) * f_lo // (f_lo - f_hi)) & -w
+            r = max(f_lo[1], f_hi[1])
+            y_lo, y_hi = f_lo[0] << r - f_lo[1], f_hi[0] << r - f_hi[1]
+            c = (lo + (hi - lo) * y_lo // (y_lo - y_hi)) & -w
             tries = (c, c + w)
         else:
             tries = ((lo + hi) >> 1,)
         for u in tries:
             if lo < u < hi:
                 z = (u & -u).bit_length() - 1
-                value = _dyadic_value(monomial, u >> z, depth - z) << (z * d)
+                value, r = _signed_value(monomial, u >> z, depth - z)
                 if not value:
                     root = Fraction(u, 1 << depth)
                     return root, root
                 if (value > 0) == left_positive:
-                    lo, f_lo = u, value
+                    lo, f_lo = u, (value, r)
                 else:
-                    hi, f_hi = u, value
+                    hi, f_hi = u, (value, r)
         if w:
             n = n * n if hi - lo <= w else max(2, math.isqrt(n))
         elif f_lo and f_hi:
             n = 4
     return Fraction(lo, 1 << depth), Fraction(hi, 1 << depth)
+
+
+def _signed_value(c: Sequence[int], u: int, v: int) -> tuple[int, int]:
+    """(y, r) with y / 2^r near c(u / 2^v) and of its exact sign, for 0 < u / 2^v < 1.
+
+    ``_fixed_value`` at r = 64, 128, ... bounds c(u / 2^v) * 2^r in [y, y + d),
+    which certifies a sign once y > 0 or y + d <= 0; at r >= v*d the exact
+    ``_dyadic_value`` settles it, so y = 0 only where c is exactly 0.
+    """
+    d = len(c) - 1
+    r = 64
+    while r < v * d:
+        y = _fixed_value(c, u, v, r)
+        if y > 0 or y + d <= 0:
+            return y, r
+        r <<= 1
+    return _dyadic_value(c, u, v), v * d
+
+
+def _fixed_value(c: Sequence[int], u: int, v: int, r: int) -> int:
+    """c(u / 2^v) * 2^r floored at each Horner step: the truth is in [y, y + d), d = len(c) - 1.
+
+    At 0 <= u / 2^v <= 1 each step scales the error so far by at most 1 and
+    adds less than one unit; at d = 0 the value is exact.
+    """
+    y = c[-1] << r
+    for i in range(len(c) - 2, -1, -1):
+        y = (y * u >> v) + (c[i] << r)
+    return y
 
 
 def _dyadic_value(c: Sequence[int], u: int, v: int) -> int:

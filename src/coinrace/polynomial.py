@@ -144,14 +144,17 @@ def to_homogeneous(coeffs: Iterable[int], degree: int) -> list[int]:
     """Coefficients c_j of p^j (1-p)^(degree-j) for ascending monomial ``coeffs``.
 
     Writing each p^i as p^i (p + (1-p))^(degree-i) is the classic O(degree^2)
-    Taylor shift by one of the reversed list: every pass replaces a shrinking
-    prefix with its running sums.
+    Taylor shift by one of the reversed list: every pass replaces the list with
+    its running sums, whose last entry is final and is popped off, so each pass
+    is one entry shorter.  The popped entries come out from the top down.
     """
     c = list(coeffs)
     c += [0] * (degree + 1 - len(c))
-    for end in range(len(c), 1, -1):
-        c[:end] = accumulate(c[:end])
-    return c
+    out = []
+    while c:
+        c = list(accumulate(c))
+        out.append(c.pop())
+    return out[::-1]
 
 
 def from_homogeneous(c: Iterable[int]) -> list[int]:

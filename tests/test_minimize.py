@@ -280,7 +280,7 @@ def test_no_grid_point_falls_below_the_minimum():
 
 # --- root isolation machinery, checked against planted roots -----------------
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinrace.minimize import _isolate
@@ -493,7 +493,13 @@ def fallback_results():
     dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
     results.append(isolate_unit_interval_roots(dpoly * poly_with_roots([third] * 2), tol))
     results.append(isolate_unit_interval_roots(dpoly * poly_with_roots([Fraction(3, 8)]), tol))
+    results.append(isolate_unit_interval_roots(dpoly * poly_with_roots([Fraction(13, 16)]), tol))
     return results
+
+
+def read_every_sign_exactly(monkeypatch):
+    # a fixed-point sum of 0 certifies no sign, so each one falls through to _dyadic_value
+    monkeypatch.setattr(minimize_module, "_fixed_value", lambda c, u, v, r: 0)
 
 
 @pytest.mark.parametrize(
@@ -501,8 +507,9 @@ def fallback_results():
     [
         (bisect_by_halving, "_dyadic_value"),
         (leave_every_truncated_sign_open, "_replay"),
+        (read_every_sign_exactly, "_dyadic_value"),
     ],
-    ids=["halving", "open-signs"],
+    ids=["halving", "open-signs", "exact-signs"],
 )
 def test_exact_fallbacks_give_the_same_results(monkeypatch, force, fallback):
     calls = record_calls(monkeypatch, fallback)
@@ -612,13 +619,61 @@ def test_refinement_matches_plain_halving(inside, others, depth):
     assert minimize_module._bisect(coeffs, x, 0, 0, depth) == expected
 
 
-def test_deep_refinement_makes_few_exact_evaluations(monkeypatch):
+def test_a_dyadic_root_inside_a_refined_node_is_read_exactly(monkeypatch):
+    # I' is 0 at 13/16, inside the node (3/4, 1) that _bisect refines; a
+    # fixed-point sum there lies in (-d, 0], so no r certifies a sign, and
+    # only the exact value finds the root itself
+    root = Fraction(13, 16)
+    dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
+    coeffs = list((dpoly * poly_with_roots([root])).coeffs)
+    b, _ = minimize_module._bernstein(to_homogeneous(coeffs, len(coeffs) - 1))
+    x = minimize_module._replay(b, 3, 2)
+    assert minimize_module._sign_variations(x) == 1
+    sums = record_calls(monkeypatch, "_fixed_value")
+    exact = record_calls(monkeypatch, "_dyadic_value")
+    assert minimize_module._bisect(coeffs, x, 3, 2, 30) == (root, root)
+    assert [r for _, u, v, r in sums if (u, v) == (13, 4)] == [64, 128, 256, 512]
+    assert [(u, v) for _, u, v in exact] == [(13, 4)]
+
+
+@st.composite
+def polynomials_at_dyadic_points(draw):
+    """(c, u, v): integer coefficients of degree 0-60 up to 2^200, and 0 < u/2^v < 1."""
+    v = draw(st.integers(1, 200))
+    u = draw(st.integers(1, (1 << v) - 1))
+    c = draw(st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=60))
+    if any(c) and draw(st.booleans()):  # a root at the point or within 2 units of it
+        c = list((Poly(c) * Poly((-u - draw(st.integers(-2, 2)), 1 << v))).coeffs)
+    return c, u, v
+
+
+@settings(deadline=None, max_examples=300)
+@given(polynomials_at_dyadic_points(), st.integers(0, 400))
+@example(([-5], 3, 2), 64)  # d = 0
+@example(([0] * 7, 1, 1), 64)  # the zero polynomial
+def test_fixed_point_sums_bound_the_value_and_certify_only_true_signs(point, r):
+    c, u, v = point
+    d = len(c) - 1
+    y = minimize_module._fixed_value(c, u, v, r)
+    exact = minimize_module._dyadic_value(c, u, v)  # c(u/2^v) * 2^(v*d)
+    scaled = Fraction(exact << r, 1 << v * d)  # c(u/2^v) * 2^r
+    assert y <= scaled < y + max(d, 1)  # exact at d = 0
+    sign = (exact > 0) - (exact < 0)
+    if y > 0:
+        assert sign == 1
+    if y < 0 and y + d <= 0:
+        assert sign == -1
+    value, _ = minimize_module._signed_value(c, u, v)
+    assert (value > 0) - (value < 0) == sign
+
+
+def test_deep_refinement_reads_few_signs(monkeypatch):
     # quadratic refinement squares its step while the secant keeps hitting, so
-    # a root costs O(log depth) evaluations, not one per level: 62 here,
-    # candidates included; halving every level past 2^-52 takes 839
-    values = record_calls(monkeypatch, "_dyadic_value")
+    # a root costs O(log depth) signs, fixed-point and exact, not one per
+    # level: 26 here, where halving reads one at each of 333 levels
+    signs = record_calls(monkeypatch, "_signed_value")
     minimize_advantage(GameParams(90, 1, 2), 1e-100)
-    assert len(values) <= 100, len(values)
+    assert len(signs) <= 100, len(signs)
 
 
 # --- branch and bound: the lower bound on I, checked against plain exact code --
