@@ -24,15 +24,15 @@ precision only where an error bound certifies it, and in integers otherwise.
    roots closer than the tolerance, end there.  Splits run on coefficients
    floor-truncated to 96 bits with an exact error bound (Rouillier &
    Zimmermann, J. Comput. Appl. Math. 162, 2004; Eigenwillig et al., CASC
-   2005), and a node whose bound leaves a sign open is redone exactly.
-   The search is branch and bound.  I's Bernstein coefficients on a node are
-   I at its left end plus prefix sums of the node's coefficients of I', and I
-   is nowhere below the least of them (Lane & Riesenfeld, BIT 21, 1981).  A
-   node where that bound exceeds the least exact value of I seen so far holds
-   no minimizer and no tie, so it is dropped with its subtree, and of two
-   children the one with the smaller bound goes first.  A node redone
-   exactly keeps its bound.  Under I = 0 no bound exceeds 0, so the same
-   search keeps every root;
+   2005); if a bound leaves a sign open, the whole search is run again with
+   exact splits.  The search is branch and bound.  I's Bernstein
+   coefficients on a node are I at its left end plus prefix sums of the
+   node's coefficients of I', and I is nowhere below the least of them (Lane
+   & Riesenfeld, BIT 21, 1981).  A node where that bound exceeds the least
+   exact value of I seen so far holds no minimizer and no tie, so it is
+   dropped with its subtree, and of two children the one with the smaller
+   bound goes first.  Under I = 0 no bound exceeds 0, so the same search
+   keeps every root;
 3. shrink each bracket around one simple root to the requested width by
    quadratic interval refinement at dyadic rationals (Abbott, ACM Commun.
    Comput. Algebra 48(1), 2014; Kerber & Sagraloff, ISSAC 2011): a secant
@@ -241,7 +241,8 @@ _BITS = 96  # a split's inputs are floor-truncated to this many bits
 
 
 def _isolate(
-    monomial: list[int], homogeneous: list[int], tol: float | Fraction, integral: Sequence[int]
+    monomial: list[int], homogeneous: list[int], tol: float | Fraction,
+    integral: Sequence[int], exact: bool = False,
 ) -> list[_Candidate]:
     """Candidates for the least value of I on [0, 1], from brackets of the roots of I'.
 
@@ -267,15 +268,17 @@ def _isolate(
     so it gives the same brackets.  I = 0 (``integral`` = [0]) keeps every
     root: U is 0, and every bound is 0 plus a term that is never positive.
 
-    Splits run on coefficients truncated to ``_BITS`` bits (see ``_split``).  A
-    node whose bound leaves a sign open, a zero on a cut side included, is
-    rebuilt exactly, so every decision, and so every bracket, is the exact one.
-    It keeps its lower bound on I, with the scale of s exact splits.
+    Splits run on coefficients truncated to ``_BITS`` bits (see ``_split``),
+    and the search is a filter in front of the exact one: at the first node
+    whose bound leaves a sign open, a zero on a cut side included, it returns
+    the same search rerun with ``exact`` set, which skips the truncation.
+    Every node of that rerun is exact, so it never reruns, and every decision,
+    and so every bracket, is the exact one.
     """
     candidates: list[_Candidate] = [
         (_value_at(integral, Fraction(p)), Fraction(p), None) for p in (0, 1)
     ]
-    b, root_scale = _bernstein(homogeneous)
+    b, scale = _bernstein(homogeneous)
     if not any(b):
         return candidates
     depth = _depth(tol)
@@ -290,13 +293,13 @@ def _isolate(
         candidates.append((value, point, (lo, hi)))
         best = min(best, value)
 
-    stack = [(b, 0, 0, 0, 0, 0, _lower_bound(b, 0, at_lo, root_scale), at_lo, root_scale)]
+    stack = [(b, 0, 0, 0, 0, 0, _lower_bound(b, 0, at_lo, scale), at_lo, scale)]
     while stack:
         x, err, a, s, zl, zr, low, at_lo, scale = stack.pop()
         if low > best:
             continue
         if not _certain(x[zl : len(x) - zr], err):
-            x, err, scale = _replay(b, a, s), 0, root_scale << n * s
+            return _isolate(monomial, homogeneous, tol, integral, True)
         if not err:
             zl = next(i for i, v in enumerate(x) if v)
             zr = next(i for i, v in enumerate(reversed(x)) if v)
@@ -312,7 +315,7 @@ def _isolate(
         if s >= depth:
             found(Fraction(a, 1 << s), Fraction(a + 1, 1 << s))
             continue
-        x, err, k = _truncate(x, err)
+        x, err, k = (x, err, 0) if exact else _truncate(x, err)
         left, right = _split(x)
         err <<= n
         scale *= Fraction(1 << n, 1 << k)
@@ -337,11 +340,11 @@ def _lower_bound(x: list[int], s: int, at_lo: Fraction, scale: Fraction) -> Frac
     the node, B_j the Bernstein basis of degree D - 1, D = len(x), and each
     x_j at most its true value.  ``scale`` is the root's factor from
     ``_bernstein`` times 2^(D-1) for each split and 2^-k for each truncation
-    by 2^k above the node; on a node redone exactly by s splits it is the
-    root's times 2^((D-1) s).  Integrating gives I's Bernstein coefficients
-    of degree D on the node, I(lo) + (x_0 + ... + x_(i-1)) / (2^s D scale) for
-    i = 0, ..., D, and I is nowhere below the least of them (Lane &
-    Riesenfeld, BIT 21, 1981).
+    by 2^k above the node, so with exact splits it is the root's times
+    2^((D-1) s).  Integrating gives I's Bernstein coefficients of degree D on
+    the node, I(lo) + (x_0 + ... + x_(i-1)) / (2^s D scale) for i = 0, ..., D,
+    and I is nowhere below the least of them (Lane & Riesenfeld, BIT 21,
+    1981).
     """
     low = min(0, min(accumulate(x)))
     return at_lo + Fraction(low, scale * (len(x) << s)) if low else at_lo
@@ -397,14 +400,6 @@ def _split(b: list[int]) -> tuple[list[int], list[int]]:
         row = list(map(add, row, row[1:]))
     right.reverse()
     return left, right
-
-
-def _replay(b: list[int], a: int, s: int) -> list[int]:
-    """Exact coefficients of node (a, s), by exact splits down from the root's b."""
-    for level in range(s - 1, -1, -1):
-        left, right = _split(b)
-        b = right if a >> level & 1 else left
-    return b
 
 
 def _bisect(

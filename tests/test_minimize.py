@@ -278,6 +278,26 @@ def test_no_grid_point_falls_below_the_minimum():
     assert checked == 333
 
 
+@pytest.mark.parametrize("game", [(1000, 1, 1), (1000, 2, 3), (500, 1, 2), (250, 4, 3)])
+def test_no_grid_point_falls_below_the_minimum_past_the_float_range(game):
+    # (1000, 1, 1) has c_j of 1994 bits, past the float range, so each term
+    # c_j p^j (1-p)^(D-j) is taken in the log domain at 2048 cell midpoints:
+    # log c_j + j log(p / (1-p)), shifted by its row's maximum and summed, then
+    # scaled by that maximum times (1-p)^D.  No term is negative, so the sum
+    # has no cancellation.
+    np = pytest.importorskip("numpy")
+    adv = advantage_polynomial(GameParams(*game))
+    minimum = minimize_module._minimize(adv, 1e-9).value_exact
+    d = len(adv.homogeneous) - 1
+    j, logs = np.array([(j, math.log(x)) for j, x in enumerate(adv.homogeneous) if x]).T
+    p = (np.arange(2048) + 0.5) / 2048
+    terms = logs + np.outer(np.log(p) - np.log1p(-p), j)
+    top = terms.max(axis=1)
+    terms -= top[:, None]
+    grid = np.exp(top + d * np.log1p(-p)) * np.exp(terms, out=terms).sum(axis=1)
+    assert grid.min() >= float(minimum) * (1 - 8 * (d + 2) * 2.0**-52)
+
+
 # --- root isolation machinery, checked against planted roots -----------------
 
 from hypothesis import example, given, settings
@@ -475,6 +495,11 @@ def record_calls(monkeypatch, name):
     return calls
 
 
+def exact_reruns(isolations):
+    """The recorded _isolate calls that set ``exact``: the reruns after an open sign."""
+    return [args for args in isolations if args[4:] == (True,)]
+
+
 def fallback_results():
     """Real games, and the planted, dyadic and multiple roots of the tests above."""
     half, third = Fraction(1, 2), Fraction(1, 3)
@@ -506,7 +531,7 @@ def read_every_sign_exactly(monkeypatch):
     "force,fallback",
     [
         (bisect_by_halving, "_dyadic_value"),
-        (leave_every_truncated_sign_open, "_replay"),
+        (leave_every_truncated_sign_open, "_isolate"),
         (read_every_sign_exactly, "_dyadic_value"),
     ],
     ids=["halving", "open-signs", "exact-signs"],
@@ -527,26 +552,28 @@ def test_a_midpoint_root_among_truncated_coefficients_is_settled_exactly(monkeyp
     tol = Fraction(1, 10**9)
     dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
     root = Fraction(3, 8)
-    replays = record_calls(monkeypatch, "_replay")
+    isolations = record_calls(monkeypatch, "_isolate")
     brackets = isolate_unit_interval_roots(dpoly * poly_with_roots([root]), tol)
+    assert len(exact_reruns(isolations)) == 1
+    isolations.clear()
     assert brackets == sorted(isolate_unit_interval_roots(dpoly, tol) + [(root, root)])
-    assert sorted((a, s) for _, a, s in replays) == [(2, 3), (3, 3)]  # both halves of (1/4, 1/2)
+    assert isolations == []
 
 
-def test_a_replay_below_a_midpoint_root_reports_it_once(monkeypatch):
+def test_an_exact_rerun_below_a_midpoint_root_reports_it_once(monkeypatch):
     # 1/2 is a root, so both halves of (0, 1) have a zero end there, and the
     # close pair to its right splits the right half again along its left edge.
-    # Every replayed node on that edge counts the zero again, and only (1/2, 1)
+    # Every exact node on that edge counts the zero again, and only (1/2, 1)
     # may report it, or 1/2 would come back once more.
     half, tol = Fraction(1, 2), Fraction(1, 10**9)
     dpoly = advantage_polynomial(GameParams(30, 1, 1)).poly.derivative()
     poly = dpoly * poly_with_roots([half, half + Fraction(1, 1000), half + Fraction(2, 1000)])
     expected = isolate_unit_interval_roots(poly, tol)
     assert len(expected) == 4 and expected[1] == (half, half)
-    replays = record_calls(monkeypatch, "_replay")
+    isolations = record_calls(monkeypatch, "_isolate")
     leave_every_truncated_sign_open(monkeypatch)
     assert isolate_unit_interval_roots(poly, tol) == expected
-    assert (4, 3) in [(a, s) for _, a, s in replays]  # (1/2, 5/8), on that edge
+    assert len(exact_reruns(isolations)) == 1
 
 
 SMALL_GAMES = [
@@ -627,7 +654,7 @@ def test_a_dyadic_root_inside_a_refined_node_is_read_exactly(monkeypatch):
     dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
     coeffs = list((dpoly * poly_with_roots([root])).coeffs)
     b, _ = minimize_module._bernstein(to_homogeneous(coeffs, len(coeffs) - 1))
-    x = minimize_module._replay(b, 3, 2)
+    x = minimize_module._split(minimize_module._split(b)[1])[1]
     assert minimize_module._sign_variations(x) == 1
     sums = record_calls(monkeypatch, "_fixed_value")
     exact = record_calls(monkeypatch, "_dyadic_value")
@@ -821,8 +848,8 @@ def slope_ends(adv):
 def test_truncated_children_inherit_their_parents_zero_ends(monkeypatch):
     # I'(0) = 0 for the first two games and I'(1) = 0 for (99, 1, 1), and their
     # splits are truncated.  A child that lost its parent's count of zero end
-    # coefficients would read those exact zeros as open signs and replay.
-    replays = record_calls(monkeypatch, "_replay")
+    # coefficients would read those exact zeros as open signs and rerun exactly.
+    isolations = record_calls(monkeypatch, "_isolate")
     truncations = record_calls(monkeypatch, "_truncate")
     for game in [(150, 3, 1), (152, 2, 1)]:
         adv = advantage_polynomial(GameParams(*game))
@@ -832,7 +859,20 @@ def test_truncated_children_inherit_their_parents_zero_ends(monkeypatch):
     assert slope_ends(adv)[1] == 0
     minimize_without_bounds(adv, 1e-9)
     assert any(max(map(abs, x)).bit_length() > minimize_module._BITS for x, _ in truncations)
-    assert replays == []
+    assert exact_reruns(isolations) == []
+
+
+def test_real_games_never_rerun_exactly(monkeypatch):
+    # The exact rerun is a fallback for open signs only: an exact split of
+    # (1000, 1, 1)'s root takes ~2.6 times as long as a truncated one.
+    games = [(99, 1, 1), (100, 1, 1), (101, 1, 1), (150, 2, 3), (90, 1, 2)]
+    games += [(250, 4, 3), (175, 3, 2), (200, 1, 1)]
+    isolations = record_calls(monkeypatch, "_isolate")
+    for game in games:
+        adv = advantage_polynomial(GameParams(*game))
+        for tol in (1e-9, 1e-100):
+            minimize_module._minimize(adv, tol)
+    assert len(isolations) == 2 * len(games) and exact_reruns(isolations) == []
 
 
 def test_every_lower_bound_is_at_most_the_least_bernstein_coefficient(monkeypatch):
@@ -859,30 +899,39 @@ def test_every_lower_bound_is_at_most_the_least_bernstein_coefficient(monkeypatc
     assert checked > 1900 and exact > 0.9 * checked and zero_end > 0
 
 
-def test_replayed_nodes_keep_sound_bounds(monkeypatch):
-    # A replayed node's exact coefficients carry the scale of s exact splits,
-    # 2^(d s) times the root's, and its children's bounds are built on it.
-    # TWIN_MINIMA times 2^200 is past _BITS, so its splits truncate and its
-    # replayed nodes split again.
+def test_an_exact_rerun_keeps_sound_bounds(monkeypatch):
+    # Every node of the exact rerun carries the scale of s exact splits,
+    # 2^((D-1) s) times the root's, so each bound is the least Bernstein
+    # coefficient itself.  TWIN_MINIMA times 2^200 is past _BITS, so its
+    # splits truncate and leave signs open too.
     games = [(100, 1, 1), (150, 2, 3), (90, 1, 2), (99, 1, 1)]
     advs = [advantage_polynomial(GameParams(*game)) for game in games]
     scaled = [c << 200 for c in TWIN_MINIMA]
     advs += [synthetic_advantage(scaled, degree) for degree in (6, 8)]
     lower_bound = minimize_module._lower_bound
     bounds = record_bounds_by_node(monkeypatch)
-    replays = record_calls(monkeypatch, "_replay")
+    isolate, reruns = minimize_module._isolate, []
+
+    def rerun_bounds_only(*args):
+        if args[4:]:
+            reruns.append(args)
+            bounds.clear()
+        return isolate(*args)
+
+    monkeypatch.setattr(minimize_module, "_isolate", rerun_bounds_only)
     leave_every_truncated_sign_open(monkeypatch)
-    checked = below_replays = 0
+    checked = 0
     for adv in advs:
-        bounds.clear()
-        replays.clear()
+        reruns.clear()
         minimize_module._minimize(adv, 1e-9)
-        replayed = {(a, s) for _, a, s in replays}
+        assert len(reruns) == 1
+        root, (_, _, _, root_scale) = bounds[0]
+        assert root == (0, 0)
         for (a, s), args in bounds:
-            assert lower_bound(*args) <= bernstein_minimum_on_node(adv, a, s), (a, s)
+            assert args[3] == root_scale * 2 ** ((len(args[0]) - 1) * s)
+            assert lower_bound(*args) == bernstein_minimum_on_node(adv, a, s), (a, s)
             checked += 1
-            below_replays += (a >> 1, s - 1) in replayed
-    assert checked > 20 and below_replays > 0, (checked, below_replays)
+    assert checked > 20, checked
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -893,7 +942,10 @@ def test_tol_must_be_finite(tol):
         minimize_advantage(GameParams(2, 2, 1), tol=tol)  # degenerate games too
 
 
-@pytest.mark.parametrize("game", [(51, 1, 1), (45, 1, 2), (100, 1, 1), (150, 2, 3), (90, 1, 2)])
+@pytest.mark.parametrize(
+    "game",
+    [(51, 1, 1), (45, 1, 2), (100, 1, 1), (150, 2, 3), (90, 1, 2), (200, 1, 1), (175, 3, 2), (250, 4, 3)],
+)
 def test_isolation_agrees_with_sympy_from_degree_near_100_to_the_large_exact_games(game):
     sympy = pytest.importorskip("sympy")
     dpoly = advantage_polynomial(GameParams(*game)).poly.derivative()
