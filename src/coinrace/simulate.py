@@ -10,33 +10,44 @@ Worker counts partition the trials; changing the worker count changes the
 stream layout, which preserves correctness but not bit-identity.  The process
 pool never exceeds ``os.cpu_count()``; W workers still mean min(W, trials)
 seed streams, so the cap changes where streams run, never what they draw.  p
-is rounded to a float once, and a toss is a head iff the next draw in [0, 1)
-is strictly below it, so p = 0 never tosses heads and p = 1 always does.
+is rounded to a float once, and a checked toss is a head iff the next draw in
+[0, 1) is strictly below it; unchecked tosses (below) are heads with the same
+chance, so p = 0 never tosses heads and p = 1 always does.
 
 Each stream plays its games in one loop and tallies the signed turn count of
 each: +k when the first player reaches the target on their k-th turn, -k when
 the second player wins on theirs.  Nobody can reach n before turn
-l = ceil(n/(alpha+beta)), so turns 1..l-1 are played without end checks: both
-scores start at (l-1)*alpha and gain beta per head.  Turns l..m are checked
-after every toss, and the first player reaches n by turn m = ceil(n/alpha)
-even with all tails.  Every game makes the same draws in the same order as a
-loop that checks every turn, so the results are the same.  The tally is a dict
-keyed by the turns that occurred, so its memory grows with the number of
-distinct outcomes, never with the target n.
+l = ceil(n/(alpha+beta)), so of turns 1..l-1 only each player's head count
+matters: both scores start at (l-1)*alpha and gain beta per head.  Those
+turns are cut into blocks of at most 64 tosses, and each block draws one
+uniform u for the first player, then one for the second, and takes the head
+count by inversion, as the number of table entries T_j <= u.  A draw is
+k/2**53 for an integer k, so one toss is a head with chance exactly
+q = a/2**53, a = ceil(p*2**53).  With F the Binomial(L, q) cdf of a block of
+L tosses, computed in integers, T_j = ceil(F_j*2**53)/2**53, and u < F_j holds
+exactly when u < T_j: the head count has the Binomial(L, q) law rounded to
+the 2**-53 grid of one draw.  Turns l..m are tossed one by one and checked
+after every toss, first player first, and the first player reaches n by turn
+m = ceil(n/alpha) even with all tails.  A game with l = 1 draws only for its
+checked turns.  The tally is a dict keyed by the turns that occurred, so its
+memory grows with the number of distinct outcomes, never with the target n.
 """
 
 from __future__ import annotations
 
 import _random
 import os
+from bisect import bisect_right
 from collections import Counter
-from math import sqrt
+from functools import lru_cache
+from math import ceil, comb, sqrt
 from typing import Mapping, NamedTuple
 
 from .game import GameParams, NormalizedParams, ParameterError, normalize, turn_bounds
 from .minimize import _limit_bias
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 64  # unchecked tosses per player drawn from one uniform
 
 
 class SimConfig(NamedTuple):
@@ -134,17 +145,15 @@ def _run_stream(job: tuple) -> dict[int, int]:
     gen = _random.Random(stream_seed)
     l, m = turn_bounds(NormalizedParams(n, alpha, beta))
     heads = alpha + beta
-    start = (l - 1) * alpha  # the heads of turns 1..l-1 are added in the loop
-    unchecked = range(l - 1)
+    start = (l - 1) * alpha  # the score after turns 1..l-1 with no heads
+    blocks = [_heads_table(min(_BLOCK, l - 1 - done), p) for done in range(0, l - 1, _BLOCK)]
     checked = range(l, m + 1)  # always breaks: the first player reaches n by turn m
     counts: dict[int, int] = {}
     for _ in range(trials):
         first = second = start
-        for _ in unchecked:
-            if gen.random() < p:
-                first += beta
-            if gen.random() < p:
-                second += beta
+        for table in blocks:
+            first += beta * bisect_right(table, gen.random())
+            second += beta * bisect_right(table, gen.random())
         for turn in checked:
             if gen.random() < p:
                 first += heads
@@ -161,3 +170,20 @@ def _run_stream(job: tuple) -> dict[int, int]:
                 break
         counts[turn] = counts.get(turn, 0) + 1
     return counts
+
+
+@lru_cache(maxsize=2)  # a stream needs at most two sizes; the streams of one process share them
+def _heads_table(tosses: int, p: float) -> tuple[float, ...]:
+    """T_j = ceil(F_j * 2**53) / 2**53 for j < tosses, F the cdf of the heads in ``tosses`` tosses.
+
+    One toss is a head with chance a/2**53, so F_j * 2**(53 * tosses) is the integer
+    sum over i <= j of C(tosses, i) a**i (2**53 - a)**(tosses - i).
+    """
+    a = ceil(p * (1 << 53))
+    b = (1 << 53) - a
+    shift = 53 * (tosses - 1)
+    table, total = [], 0
+    for j in range(tosses):
+        total += comb(tosses, j) * a**j * b ** (tosses - j)
+        table.append(-(-total >> shift) / (1 << 53))
+    return tuple(table)

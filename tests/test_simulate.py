@@ -1,11 +1,15 @@
 """Monte Carlo simulator: determinism, statistics, histogram law."""
 
+import bisect
+import functools
 import importlib
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -195,7 +199,7 @@ def test_an_exact_p_is_rounded_once_before_the_streams(monkeypatch):
 
 
 def reference_run_stream(job: tuple) -> tuple[int, Counter]:
-    """The per-game stream loop the fused `_run_stream` replaced, kept as its reference.
+    """A per-game stream loop, kept as the reference for the fused `_run_stream`.
 
     It draws from `random.Random`, the documented generator, so the comparison also checks that
     `_random.Random`, the C type `_run_stream` draws from, seeds and draws the same.
@@ -213,8 +217,14 @@ def reference_run_stream(job: tuple) -> tuple[int, Counter]:
 
 
 def reference_play(rng, n: int, alpha: int, beta: int, p: float) -> int:
-    first = second = 0
-    turns = 0
+    """One game: each player's heads of turns 1..l-1 by inversion per block of up to 64 tosses,
+    first player first, then every later turn toss by toss with an end check."""
+    turns = -(-n // (alpha + beta)) - 1  # no one can reach n in these turns
+    first = second = turns * alpha
+    for done in range(0, turns, 64):
+        cdf = reference_heads_cdf(min(64, turns - done), p)
+        first += beta * bisect.bisect_right(cdf, Fraction(rng()))  # the least j with u < F_j
+        second += beta * bisect.bisect_right(cdf, Fraction(rng()))
     while True:
         turns += 1
         first += alpha
@@ -227,6 +237,20 @@ def reference_play(rng, n: int, alpha: int, beta: int, p: float) -> int:
             second += beta
         if second >= n:
             return -turns
+
+
+@functools.lru_cache(maxsize=None)
+def reference_heads_cdf(tosses: int, p: float) -> tuple[Fraction, ...]:
+    """F_0..F_tosses, the exact cdf of the heads in ``tosses`` draws of ``rng() < p``.
+
+    A draw is k/2**53 for k uniform on [0, 2**53), so one toss is a head with chance
+    q = #{k : k/2**53 < p}/2**53; the pmf is [1] convolved ``tosses`` times with [1 - q, q].
+    """
+    q = Fraction(math.ceil(Fraction(p) * 2**53), 2**53)
+    pmf = [Fraction(1)]
+    for _ in range(tosses):
+        pmf = [tail * (1 - q) + head * q for tail, head in zip(pmf + [0], [0] + pmf)]
+    return tuple(itertools.accumulate(pmf))
 
 
 def assert_stream_matches_reference(job: tuple) -> None:
@@ -243,9 +267,11 @@ RAW_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
 def turn_bound_edges(alpha: int, beta: int) -> set[int]:
-    """Targets n <= alpha + beta (l = 1), and k(alpha + beta) and one more, where l steps up."""
+    """Targets n <= alpha + beta (l = 1), k(alpha + beta) and one more, where l steps up, and the
+    targets that put l - 1 at the edges of the 64-toss blocks."""
     heads = alpha + beta
-    return {1, heads - 1, *(k * heads + d for k in (1, 2, 5, 20) for d in (0, 1))}
+    blocks = {k * heads + 1 for k in (63, 64, 65, 128, 129)}
+    return {1, heads - 1, *(k * heads + d for k in (1, 2, 5, 20) for d in (0, 1)), *blocks}
 
 
 @pytest.mark.parametrize(
@@ -274,6 +300,38 @@ def test_fused_stream_matches_per_game_reference(alpha, beta, n):
 )
 def test_fused_stream_matches_reference_on_random_games(n, alpha, beta, p, seed):
     assert_stream_matches_reference((n, alpha, beta, p, 50, seed))
+
+
+@pytest.mark.parametrize("p", EDGE_BIASES)
+@pytest.mark.parametrize("tosses", [1, 2, 5, 63, 64])
+def test_heads_table_is_the_cdf_rounded_up_to_the_draw_grid(tosses, p):
+    cdf = reference_heads_cdf(tosses, p)
+    assert cdf[-1] == 1
+    expected = tuple(math.ceil(f * 2**53) / 2**53 for f in cdf[:-1])
+    assert simulate_module._heads_table(tosses, p) == expected
+    if p in (0.0, 1.0):
+        assert expected == (1.0 - p,) * tosses  # p = 0 never tosses heads, p = 1 always does
+
+
+def test_a_draw_on_a_table_entry_counts_as_the_next_head_count(monkeypatch):
+    # u < F_j iff u < T_j, so a draw equal to T_j gives more than j heads
+    draws = [0.5, 0.0] + [0.9] * 4  # (3, 1, 1): turn 1 is one unchecked toss per player
+    assert simulate_module._heads_table(1, 0.5) == (0.5,)
+
+    class Scripted:
+        def __init__(self, seed):
+            self.random = iter(draws).__next__
+
+    monkeypatch.setattr(simulate_module, "_random", types.SimpleNamespace(Random=Scripted))
+    assert simulate_module._run_stream((3, 1, 1, 0.5, 1, 0)) == {2: 1}  # 1 + 1 head, then 1 + 1 tail
+    assert reference_play(iter(draws).__next__, 3, 1, 1, 0.5) == 2
+
+
+def test_streams_share_their_heads_tables(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # every stream in this process
+    simulate_module._heads_table.cache_clear()
+    simulate(SimConfig(GameParams(300, 1, 1), 0.3, 50, seed=1, workers=50))
+    assert simulate_module._heads_table.cache_info().misses == 2  # 64 and 21 tosses, for 50 streams
 
 
 def test_histogram_memory_does_not_grow_with_n():
