@@ -80,7 +80,8 @@ def _doubled_advantage(params: NormalizedParams, bounds: TurnBounds) -> list[int
 
 def tie_probability(params: GameParams) -> Poly:
     """Probability both players need the same number of turns, as a polynomial."""
-    return 2 * advantage_polynomial(params).poly - 1
+    a0, *rest = advantage_polynomial(params).poly.coeffs
+    return Poly([2 * a0 - 1, *(2 * a for a in rest)])
 
 
 def advantage_polynomial(params: GameParams) -> AdvantageResult:

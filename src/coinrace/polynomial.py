@@ -1,13 +1,14 @@
-"""Exact univariate polynomial arithmetic over the integers.
+"""Exact univariate integer polynomials: a value type, evaluated exactly.
 
 A polynomial is a dense, ascending sequence of Python ``int`` coefficients:
 ``Poly((1, -2, 1))`` is ``1 - 2p + p^2``.  Every polynomial of the game has
-integer coefficients, so arithmetic is exact at arbitrary precision; a
-coefficient that is not an integer (a ``Fraction`` or ``float``) raises
-``TypeError``.  Evaluation at a rational point is an exact ``Fraction``.
-Trailing zero coefficients are stripped on construction; the zero polynomial
-stores no coefficients and has degree ``None``.  Instances are immutable and
-safe to share between threads.
+integer coefficients; a coefficient that is not an integer (a ``Fraction`` or
+``float``) raises ``TypeError``.  A ``Poly`` is built, compared with another
+``Poly``, evaluated at a rational point as an exact ``Fraction``,
+differentiated and rendered; it defines no arithmetic.  Trailing zero
+coefficients are stripped on construction; the zero polynomial stores no
+coefficients and has degree ``None``.  Instances are immutable and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -40,62 +41,16 @@ class Poly:
         """Degree, or ``None`` for the zero polynomial."""
         return len(self._coeffs) - 1 if self._coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
-
-    def __add__(self, other: Poly | int) -> Poly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Poly:
-        return Poly(-c for c in self._coeffs)
-
-    def __sub__(self, other: Poly | int) -> Poly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> Poly:
-        return (-self) + other
-
-    def __mul__(self, other: Poly | int) -> Poly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x: int | Fraction) -> Fraction:
         """Exact value at ``x`` = u/v: sum_i c_i u^i v^(D-i) by integer Horner, over v^D once."""
@@ -119,15 +74,6 @@ class Poly:
         return render(self)
 
 
-def _coerce(value: object) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, int):
-        return Poly((value,))
-    return NotImplemented
-
-
-ZERO = Poly()
 ONE = Poly((1,))
 
 
@@ -173,7 +119,7 @@ def render(poly: Poly, latex: bool = False) -> str:
     ``render(Poly((1, -2, 5, -4, 1)))`` gives ``"1 - 2p + 5p^2 - 4p^3 + p^4"``.
     LaTeX mode braces exponents and adds thousands separators.
     """
-    if poly.is_zero():
+    if not poly:
         return "0"
     parts: list[str] = []
     for power, c in enumerate(poly.coeffs):

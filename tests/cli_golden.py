@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 from types import MappingProxyType
 
+from algebra import ref_add
 import coinrace.cli as cli
 import coinrace.oracle as oracle
 from coinrace.polynomial import Poly
@@ -73,7 +74,7 @@ def _corrupted(params):
     pmf = dict(dist.pmf)
     if params.n == 3 and params.alpha == 1 and params.beta == 1:
         last = max(pmf)
-        pmf[last] = pmf[last] + Poly((0, 1))
+        pmf[last] = Poly(ref_add(pmf[last].coeffs, (0, 1)))
     return type(dist)(dist.bounds, MappingProxyType(pmf))
 
 

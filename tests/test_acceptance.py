@@ -12,10 +12,12 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
+from algebra import ref_add
 from coinrace.advantage import advantage_at, advantage_polynomial
 from coinrace.game import GameParams, normalize, turn_bounds
 from coinrace.minimize import asymptotic_optimum, minimize_advantage
@@ -117,7 +119,7 @@ def test_criterion_5_distribution_identities():
     ok = True
     for params in exhaustive_grid():
         dist = hit_time_distribution(params)
-        ok = ok and sum(dist.pmf.values(), Poly()) == ONE
+        ok = ok and reduce(ref_add, (f.coeffs for f in dist.pmf.values()), ()) == (1,)
         for poly in dist.pmf.values():
             ok = ok and all(0 <= poly(p) <= 1 for p in grid)
     assert report("criterion 5: unit mass and pointwise [0,1] on 17-point grid", ok)

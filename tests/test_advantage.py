@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra import ref_add, ref_mul
 from coinrace.advantage import advantage_at, advantage_polynomial, tie_probability
 from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
 from coinrace.oracle import brute_force_hit_pmf
@@ -78,7 +79,7 @@ def small_games(max_n=10, max_alpha=3, max_beta=3):
 def test_reconstruction_from_tie_probability():
     for g in small_games(max_n=6):
         adv = advantage_polynomial(g).poly
-        assert 2 * adv == tie_probability(g) + 1
+        assert ref_mul((2,), adv.coeffs) == ref_add(tie_probability(g).coeffs, (1,))
 
 
 def test_first_mover_bound_on_grid():
@@ -121,7 +122,10 @@ def test_scaling_invariance(n, alpha, beta, c):
 
 
 def naive_sum_of_squares(polys):
-    return sum((f * f for f in polys), Poly())
+    total = ()
+    for f in polys:
+        total = ref_add(total, ref_mul(f.coeffs, f.coeffs))
+    return total
 
 
 def test_kernel_matches_naive_sum_of_squares_of_the_pmf():
@@ -131,7 +135,7 @@ def test_kernel_matches_naive_sum_of_squares_of_the_pmf():
             for beta in range(1, 5):
                 g = GameParams(n, alpha, beta)
                 pmf = hit_time_distribution(normalize(g)).pmf.values()
-                assert tie_probability(g) == naive_sum_of_squares(pmf), g
+                assert tie_probability(g).coeffs == naive_sum_of_squares(pmf), g
                 games += 1
     assert games == 384
 
@@ -144,7 +148,7 @@ def test_kernel_where_the_slot_width_steps_up(m):
     result = advantage_polynomial(game)
     assert result.bounds.m == m
     pmf = hit_time_distribution(normalize(game)).pmf.values()
-    assert 2 * result.poly == naive_sum_of_squares(pmf) + 1
+    assert ref_mul((2,), result.poly.coeffs) == ref_add(naive_sum_of_squares(pmf), (1,))
     # the slots of I hold its homogeneous coefficients and sum to 4^m I(1/2)
     assert len(result.homogeneous) == 2 * m + 1
     assert sum(result.homogeneous) == 4**m * result.poly(Fraction(1, 2))
@@ -189,11 +193,11 @@ def test_corrupted_tail_fails_the_telescoping_check(monkeypatch, end):
 
 def test_advantage_matches_oracle_products_at_degree_118():
     # Shares neither the analytic pmf nor the Kronecker squaring: oracle pmf,
-    # plain Poly products.
+    # schoolbook products.
     pmf = brute_force_hit_pmf(normalize(GameParams(60, 1, 1)))
-    doubled = naive_sum_of_squares(pmf.values()) + 1
-    assert doubled.degree == 118
-    assert 2 * advantage_polynomial(GameParams(60, 1, 1)).poly == doubled
+    doubled = ref_add(naive_sum_of_squares(pmf.values()), (1,))
+    assert len(doubled) - 1 == 118
+    assert ref_mul((2,), advantage_polynomial(GameParams(60, 1, 1)).poly.coeffs) == doubled
 
 
 TABLE_GAMES = [

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algebra import ref_add
 import cli_golden
 import coinrace.cli as cli
 from coinrace.advantage import advantage_at
@@ -388,7 +389,7 @@ def corrupted(params):
     pmf = dict(dist.pmf)
     if params.n == 3 and params.alpha == 1 and params.beta == 1:
         last = max(pmf)
-        pmf[last] = pmf[last] + Poly((0, 1))
+        pmf[last] = Poly(ref_add(pmf[last].coeffs, (0, 1)))
     return type(dist)(dist.bounds, MappingProxyType(pmf))
 
 

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -303,6 +304,7 @@ def test_no_grid_point_falls_below_the_minimum_past_the_float_range(game):
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from algebra import ref_add, ref_mul
 from coinrace.minimize import _isolate
 from coinrace.polynomial import ONE, Poly, to_homogeneous
 
@@ -330,11 +332,12 @@ unit_roots = st.fractions(
 )
 
 
-def poly_with_roots(roots):
-    poly = ONE
+def poly_with_roots(roots, factor=ONE):
+    """factor times the product of (d p - n) over the roots n/d."""
+    coeffs = factor.coeffs
     for r in roots:
-        poly = poly * Poly((-r.numerator, r.denominator))
-    return poly
+        coeffs = ref_mul(coeffs, (-r.numerator, r.denominator))
+    return Poly(coeffs)
 
 
 def assert_brackets_match(roots, extra=()):
@@ -434,7 +437,7 @@ def test_multiple_root_times_a_game_derivative_ends_at_tol(root, multiplicity):
     tol = Fraction(1, 10**9)
     game_root = minimize_advantage(GameParams(100, 1, 1)).bracket
     dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
-    product = dpoly * poly_with_roots([root] * multiplicity)
+    product = poly_with_roots([root] * multiplicity, dpoly)
     start = time.perf_counter()
     brackets = isolate_unit_interval_roots(product, tol)
     assert time.perf_counter() - start < 10
@@ -516,9 +519,9 @@ def fallback_results():
     ]
     results += [isolate_unit_interval_roots(poly_with_roots(roots), tol) for roots in planted]
     dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
-    results.append(isolate_unit_interval_roots(dpoly * poly_with_roots([third] * 2), tol))
-    results.append(isolate_unit_interval_roots(dpoly * poly_with_roots([Fraction(3, 8)]), tol))
-    results.append(isolate_unit_interval_roots(dpoly * poly_with_roots([Fraction(13, 16)]), tol))
+    results.append(isolate_unit_interval_roots(poly_with_roots([third] * 2, dpoly), tol))
+    results.append(isolate_unit_interval_roots(poly_with_roots([Fraction(3, 8)], dpoly), tol))
+    results.append(isolate_unit_interval_roots(poly_with_roots([Fraction(13, 16)], dpoly), tol))
     return results
 
 
@@ -553,7 +556,7 @@ def test_a_midpoint_root_among_truncated_coefficients_is_settled_exactly(monkeyp
     dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
     root = Fraction(3, 8)
     isolations = record_calls(monkeypatch, "_isolate")
-    brackets = isolate_unit_interval_roots(dpoly * poly_with_roots([root]), tol)
+    brackets = isolate_unit_interval_roots(poly_with_roots([root], dpoly), tol)
     assert len(exact_reruns(isolations)) == 1
     isolations.clear()
     assert brackets == sorted(isolate_unit_interval_roots(dpoly, tol) + [(root, root)])
@@ -567,7 +570,7 @@ def test_an_exact_rerun_below_a_midpoint_root_reports_it_once(monkeypatch):
     # may report it, or 1/2 would come back once more.
     half, tol = Fraction(1, 2), Fraction(1, 10**9)
     dpoly = advantage_polynomial(GameParams(30, 1, 1)).poly.derivative()
-    poly = dpoly * poly_with_roots([half, half + Fraction(1, 1000), half + Fraction(2, 1000)])
+    poly = poly_with_roots([half, half + Fraction(1, 1000), half + Fraction(2, 1000)], dpoly)
     expected = isolate_unit_interval_roots(poly, tol)
     assert len(expected) == 4 and expected[1] == (half, half)
     isolations = record_calls(monkeypatch, "_isolate")
@@ -640,7 +643,7 @@ one_root_inside = st.one_of(
 def test_refinement_matches_plain_halving(inside, others, depth):
     # every refinement decision is an exact sign, so at every depth the cell, or
     # the dyadic root itself, must be the reference's
-    coeffs = list((inside * poly_with_roots(others)).coeffs)
+    coeffs = list(poly_with_roots(others, inside).coeffs)
     x, _ = minimize_module._bernstein(to_homogeneous(coeffs, len(coeffs) - 1))
     expected = halve_to_depth(coeffs, x, 0, 0, depth)
     assert minimize_module._bisect(coeffs, x, 0, 0, depth) == expected
@@ -652,7 +655,7 @@ def test_a_dyadic_root_inside_a_refined_node_is_read_exactly(monkeypatch):
     # only the exact value finds the root itself
     root = Fraction(13, 16)
     dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
-    coeffs = list((dpoly * poly_with_roots([root])).coeffs)
+    coeffs = list(poly_with_roots([root], dpoly).coeffs)
     b, _ = minimize_module._bernstein(to_homogeneous(coeffs, len(coeffs) - 1))
     x = minimize_module._split(minimize_module._split(b)[1])[1]
     assert minimize_module._sign_variations(x) == 1
@@ -670,7 +673,7 @@ def polynomials_at_dyadic_points(draw):
     u = draw(st.integers(1, (1 << v) - 1))
     c = draw(st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=60))
     if any(c) and draw(st.booleans()):  # a root at the point or within 2 units of it
-        c = list((Poly(c) * Poly((-u - draw(st.integers(-2, 2)), 1 << v))).coeffs)
+        c = list(ref_mul(c, (-u - draw(st.integers(-2, 2)), 1 << v)))
     return c, u, v
 
 
@@ -737,11 +740,11 @@ def bernstein_minimum_on_node(adv, a, s):
     """
     coeffs = adv.poly.coeffs
     deg = len(coeffs) - 1
-    shifted = Poly()
+    shifted = ()
     for i in range(deg, -1, -1):
-        shifted = shifted * Poly((a, 1)) + (coeffs[i] << s * (deg - i))
+        shifted = ref_add(ref_mul(shifted, (a, 1)), (coeffs[i] << s * (deg - i),))
     degree = len(adv.homogeneous) - 1
-    h = to_homogeneous(list(shifted.coeffs), degree)
+    h = to_homogeneous(list(shifted), degree)
     return min(Fraction(x, math.comb(degree, j) << s * deg) for j, x in enumerate(h))
 
 
@@ -781,8 +784,11 @@ def record_bounds_by_node(monkeypatch):
 # I = 2u^6 - 15u^4 + 24u^2 + 32 with u = 8p - 4 is symmetric about 1/2, and
 # I' = 12u (u^2 - 1)(u^2 - 4): equal minima 16 at p = 1/4 and 3/4, a local
 # minimum 32 at 1/2 and maxima at 3/8 and 5/8
-U2 = Poly((-4, 8)) * Poly((-4, 8))
-TWIN_MINIMA = list((2 * U2 * U2 * U2 - 15 * U2 * U2 + 24 * U2 + 32).coeffs)
+U2 = ref_mul((-4, 8), (-4, 8))
+U4 = ref_mul(U2, U2)
+TWIN_MINIMA = list(
+    reduce(ref_add, [ref_mul((2,), ref_mul(U4, U2)), ref_mul((-15,), U4), ref_mul((24,), U2), (32,)])
+)
 
 
 @pytest.mark.parametrize("degree", [4, 6])
