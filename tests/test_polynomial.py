@@ -1,7 +1,7 @@
 """The ``Poly`` value type: construction, equality, exact evaluation, derivative, rendering.
 
 Sums and products come from the schoolbook reference algebra in ``algebra.py``;
-its hand-expanded cases below check it, and the properties check ``Poly``'s
+its hand-expanded cases and ring laws below check it, and the properties check ``Poly``'s
 evaluation and derivative against it.
 """
 
@@ -97,6 +97,36 @@ def test_non_integer_coefficients_raise_type_error(coeff):
         Poly((coeff,))
     with pytest.raises(TypeError):
         coeff * Poly((2, 4))
+
+
+def test_scalar_mixing():
+    p = Poly((0, 1))
+    # a scalar is a constant tuple in the reference algebra: 2p + 1 and 1 - p
+    assert Poly(ref_add(ref_mul((2,), p.coeffs), (1,))) == Poly((1, 2))
+    assert Poly(ref_add((1,), ref_mul((-1,), p.coeffs))) == Poly((1, -1))
+    # and Poly itself refuses an int on either side of every operator
+    for operation in (lambda: p + 1, lambda: 1 + p, lambda: 1 - p, lambda: p - 1, lambda: p * 2):
+        with pytest.raises(TypeError):
+            operation()
+
+
+@given(small_polys, small_polys)
+def test_add_commutes(a, b):
+    assert Poly(ref_add(a.coeffs, b.coeffs)) == Poly(ref_add(b.coeffs, a.coeffs))
+
+
+@given(small_polys, small_polys)
+def test_mul_commutes(a, b):
+    assert Poly(ref_mul(a.coeffs, b.coeffs)) == Poly(ref_mul(b.coeffs, a.coeffs))
+
+
+@settings(deadline=None)
+@given(small_polys, small_polys, small_polys)
+def test_ring_axioms(a, b, c):
+    a, b, c = a.coeffs, b.coeffs, c.coeffs
+    assert ref_add(ref_add(a, b), c) == ref_add(a, ref_add(b, c))
+    assert ref_mul(ref_mul(a, b), c) == ref_mul(a, ref_mul(b, c))
+    assert ref_mul(a, ref_add(b, c)) == ref_add(ref_mul(a, b), ref_mul(a, c))
 
 
 def test_a_poly_equals_only_a_poly_and_defines_no_arithmetic():
