@@ -32,8 +32,10 @@ The win-turn masses must sum to 1.  A second Horner sum, in p + q, starts at
 -B_(l-1) and adds f_k each turn, so it ends at sum_k f_k (p + q)^(m-k) - B_m.
 Both of those packed forms have slots in [0, 2^w), so the sum is the integer
 0 exactly when they are equal slot by slot.  It costs one add per turn and
-checks every turn's slots.  The homogeneous coefficients are converted to
-monomials once.
+checks every turn's slots.  The (p, q) coefficients of 2I must be even: they
+are checked, halved once and converted to monomials once.  Both basis changes
+are integer and unit triangular, so every monomial coefficient of 2I is even
+exactly when every (p, q) coefficient is.
 """
 
 from __future__ import annotations
@@ -90,19 +92,20 @@ def advantage_polynomial(params: GameParams) -> AdvantageResult:
     The degenerate case is detected twice on purpose: structurally (l == m,
     every game ties in hit-time) and from the assembled polynomial.  Any
     disagreement, a wrong degree, or a non-integer coefficient indicates a
-    construction bug and aborts.
+    construction bug and aborts.  Parity is checked on the (p, 1-p)
+    coefficients of 2I, which are halved once into ``homogeneous``.
     """
     nparams = normalize(params)
     bounds = turn_bounds(nparams)
     degenerate = bounds.l == bounds.m
     doubled = _doubled_advantage(nparams, bounds)
-    monomial = from_homogeneous(doubled)
-    odd = [j for j, c in enumerate(monomial) if c & 1]
-    if odd:
-        raise ConsistencyError(
-            f"advantage has a non-integer coefficient at p^{odd[0]} for {nparams}"
-        )
-    poly = Poly(c >> 1 for c in monomial)
+    for j, c in enumerate(doubled):
+        if c & 1:
+            raise ConsistencyError(
+                f"advantage has a non-integer coefficient at p^{j} (1-p)^{2 * bounds.m - j} for {nparams}"
+            )
+    homogeneous = tuple(c >> 1 for c in doubled)
+    poly = Poly(from_homogeneous(homogeneous))
     if degenerate:
         if poly != ONE:
             raise ConsistencyError(
@@ -114,9 +117,7 @@ def advantage_polynomial(params: GameParams) -> AdvantageResult:
             raise ConsistencyError(
                 f"advantage degree {poly.degree} != 2m-2 = {expected} for {nparams}"
             )
-    # Each homogeneous coefficient is sum_(i<=j) a_i C(2m-i, j-i) over the even
-    # monomial ones a_i, so it is even too and halves exactly.
-    return AdvantageResult(nparams, bounds, poly, degenerate, tuple(c >> 1 for c in doubled))
+    return AdvantageResult(nparams, bounds, poly, degenerate, homogeneous)
 
 
 def advantage_at(params: GameParams, p: int | Fraction) -> Fraction:

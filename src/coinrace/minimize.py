@@ -353,20 +353,15 @@ def _lower_bound(x: list[int], s: int, at_lo: Fraction, scale: Fraction) -> Frac
 def _bernstein(c: list[int]) -> tuple[list[int], int]:
     """Integer Bernstein coefficients of homogeneous c, and the factor they carry.
 
-    The factor is lcm_j C(d, j) = lcm(1, ..., d+1) / (d+1): each c_j is scaled
-    by it and divided by C(d, j).
+    The factor is L = lcm_j C(d, j) = lcm(1, ..., d+1) / (d+1): each c_j is
+    scaled by L / C(d, j), an integer.  That ratio starts at L and steps by
+    (j+1) / (d-j) from j to j+1, and each step divides exactly, since its
+    result is the next integer ratio.
     """
     d = len(c) - 1
     scale = lcm(*range(1, d + 2)) // (d + 1)
-    return [x * (scale // binom) for x, binom in zip(c, _binomials(d))], scale
-
-
-def _binomials(d: int) -> list[int]:
-    """C(d, 0), ..., C(d, d)."""
-    row = [1]
-    for j in range(d):
-        row.append(row[-1] * (d - j) // (j + 1))
-    return row
+    ratios = accumulate(range(d), lambda f, j: f * (j + 1) // (d - j), initial=scale)
+    return [x * f for x, f in zip(c, ratios)], scale
 
 
 def _certain(x: list[int], err: int) -> bool:

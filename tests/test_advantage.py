@@ -155,19 +155,22 @@ def test_kernel_where_the_slot_width_steps_up(m):
     assert Poly(from_homogeneous(result.homogeneous)) == result.poly
 
 
-def test_odd_tie_coefficient_aborts_the_halving(monkeypatch):
+@pytest.mark.parametrize("slot", [1, 6])
+def test_odd_tie_coefficient_aborts_the_halving(monkeypatch, slot):
+    # one more p^j (1-p)^(6-j) in 2I of (3, 1, 1), m = 3, makes the (p, 1-p)
+    # coefficient at slot j odd, at the second slot and at the last one
     import coinrace.advantage as advantage_module
 
     real = advantage_module._doubled_advantage
 
     def corrupted(params, bounds):
-        # one more p(1-p)^5 = p - 5p^2 + ... makes the coefficient at p^1 odd
         slots = real(params, bounds)
-        slots[1] += 1
+        slots[slot] += 1
         return slots
 
     monkeypatch.setattr(advantage_module, "_doubled_advantage", corrupted)
-    with pytest.raises(ConsistencyError, match=r"non-integer coefficient at p\^1 "):
+    message = rf"non-integer coefficient at p\^{slot} \(1-p\)\^{6 - slot} for "
+    with pytest.raises(ConsistencyError, match=message):
         advantage_polynomial(GameParams(3, 1, 1))
 
 

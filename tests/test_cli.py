@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebra import ref_add
 import cli_golden
 import coinrace.cli as cli
 from coinrace.advantage import advantage_at
@@ -381,20 +380,8 @@ def test_verify_bound_below_one_exits_2(capsys, fmt, flag):
     assert err == "error: max-n, max-alpha and max-beta must be >= 1\n"
 
 
-def corrupted(params):
-    """The analytic pmf, with its last turn off by p in the game (3, 1, 1) only."""
-    from types import MappingProxyType
-
-    dist = hit_time_distribution(params)
-    pmf = dict(dist.pmf)
-    if params.n == 3 and params.alpha == 1 and params.beta == 1:
-        last = max(pmf)
-        pmf[last] = Poly(ref_add(pmf[last].coeffs, (0, 1)))
-    return type(dist)(dist.bounds, MappingProxyType(pmf))
-
-
 def test_verify_detects_corruption(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "hit_time_distribution", corrupted)
+    monkeypatch.setattr(cli, "hit_time_distribution", cli_golden._corrupted)
     code, out, _ = run_cli(
         capsys, "verify", "--max-n", "4", "--max-alpha", "1", "--max-beta", "1"
     )
@@ -411,7 +398,7 @@ def test_verify_checks_each_normalized_game_once(monkeypatch):
 
     def counting(params):
         built.append(params)
-        return corrupted(params)
+        return cli_golden._corrupted(params)
 
     raw = [(n, a, b) for n in range(1, 7) for a in (1, 2) for b in (1, 2)]
     games = {normalize(GameParams(*case)) for case in raw}

@@ -462,6 +462,26 @@ def test_roots_closer_than_tol_share_a_bracket(gap, count):
 import coinrace.minimize as minimize_module
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 64, 399, None])
+def test_bernstein_scales_each_coefficient_by_its_lcm_over_binomial(monkeypatch, d):
+    # the reference divides L = lcm(1..d+1)/(d+1) by each C(d, j) on its own,
+    # where _bernstein steps from one ratio to the next; None takes the slopes
+    # that minimizing (1000, 1, 1) hands to _bernstein, of degree d = 1999
+    if d is None:
+        calls = record_calls(monkeypatch, "_bernstein")
+        minimize_advantage(GameParams(1000, 1, 1))
+        c = calls[0][0]
+        d = len(c) - 1
+        assert d == 1999
+    else:
+        rng = random.Random(d)
+        c = [rng.randint(-(2**80), 2**80) for _ in range(d + 1)]
+    scale = math.lcm(*range(1, d + 2)) // (d + 1)
+    assert scale == math.lcm(*(math.comb(d, j) for j in range(d + 1)))
+    expected = [x * (scale // math.comb(d, j)) for j, x in enumerate(c)]
+    assert minimize_module._bernstein(c) == (expected, scale)
+
+
 def halve_to_depth(monomial, x, a, s, depth):
     """Plain exact bisection of node (a, s) around its one root, the reference for _bisect."""
     left_positive = x[0] > 0
