@@ -16,21 +16,29 @@ chance, so p = 0 never tosses heads and p = 1 always does.
 
 Each stream plays its games in one loop and tallies the signed turn count of
 each: +k when the first player reaches the target on their k-th turn, -k when
-the second player wins on theirs.  Nobody can reach n before turn
-l = ceil(n/(alpha+beta)), so of turns 1..l-1 only each player's head count
-matters: both scores start at (l-1)*alpha and gain beta per head.  Those
-turns are cut into blocks of at most 64 tosses, and each block draws one
-uniform u for the first player, then one for the second, and takes the head
-count by inversion, as the number of table entries T_j <= u.  A draw is
-k/2**53 for an integer k, so one toss is a head with chance exactly
-q = a/2**53, a = ceil(p*2**53).  With F the Binomial(L, q) cdf of a block of
-L tosses, computed in integers, T_j = ceil(F_j*2**53)/2**53, and u < F_j holds
-exactly when u < T_j: the head count has the Binomial(L, q) law rounded to
-the 2**-53 grid of one draw.  Turns l..m are tossed one by one and checked
-after every toss, first player first, and the first player reaches n by turn
-m = ceil(n/alpha) even with all tails.  A game with l = 1 draws only for its
-checked turns.  The tally is a dict keyed by the turns that occurred, so its
-memory grows with the number of distinct outcomes, never with the target n.
+the second player wins on theirs.  In a turn where no one can reach n, only
+each player's head count matters, and such turns are drawn in blocks of at
+most 64 tosses: each block draws one uniform u for the first player, then one
+for the second, and takes the head count by inversion, as the number of table
+entries T_j <= u.  Nobody can reach n before turn l = ceil(n/(alpha+beta)),
+so the prefix is one block of min(64, l-1) turns; a game with l = 1 has no
+prefix and makes no draw for it.  After the prefix, with both players at
+``played`` turns, nobody can reach n in the next r = (n-1-max(scores)) //
+(alpha+beta) turns, and while r >= 3 each player draws one more block of
+min(r, 64) turns.  r is read from past draws only, so each block is a fixed
+number of tosses given what came before.  Three is the threshold because a
+block costs one draw and one bisection per player where a checked turn costs
+one draw and two compares; it also keeps every game with n <= 11 at
+alpha = beta = 1 free of horizon blocks.  A draw is k/2**53 for an integer
+k, so one toss is a head with chance exactly q = a/2**53, a = ceil(p*2**53).
+With F the Binomial(L, q) cdf of a block of L tosses, computed in integers,
+T_j = ceil(F_j*2**53)/2**53, and u < F_j holds exactly when u < T_j: the head
+count has the Binomial(L, q) law rounded to the 2**-53 grid of one draw.  The
+remaining turns are tossed one by one and checked after every toss, first
+player first, and the first player reaches n by turn m = ceil(n/alpha) even
+with all tails.  A stream keeps at most 65 tables, one per block size, shared
+with the other streams of its process, and the tally is a dict keyed by the
+turns that occurred, so a stream's memory never grows with the target n.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .minimize import _limit_bias
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 64  # unchecked tosses per player drawn from one uniform
+_HORIZON = 3  # the fewest safe turns drawn as a block after the prefix; fewer are tossed and checked
 
 
 class SimConfig(NamedTuple):
@@ -145,34 +154,49 @@ def _run_stream(job: tuple) -> dict[int, int]:
     gen = _random.Random(stream_seed)
     l, m = turn_bounds(NormalizedParams(n, alpha, beta))
     heads = alpha + beta
-    start = (l - 1) * alpha  # the score after turns 1..l-1 with no heads
-    blocks = [_heads_table(min(_BLOCK, l - 1 - done), p) for done in range(0, l - 1, _BLOCK)]
-    checked = range(l, m + 1)  # always breaks: the first player reaches n by turn m
+    opened = min(_BLOCK, l - 1)  # the prefix: turns 1..l-1, where no one can reach n, up to one block
+    prefix = _heads_table(opened, p)  # empty when l = 1: no draw
+    start = opened * alpha  # the score after the prefix with no heads
+    lim = n - 1 - _HORIZON * heads  # both scores <= lim: no one can reach n in the next _HORIZON turns
+    tables: list[tuple[float, ...] | None] = [None] * (_BLOCK + 1)  # by block size, filled as met
+    checked = range(1, m + 1)  # always breaks: the first player reaches n by turn m
     counts: dict[int, int] = {}
     for _ in range(trials):
         first = second = start
-        for table in blocks:
-            first += beta * bisect_right(table, gen.random())
-            second += beta * bisect_right(table, gen.random())
-        for turn in checked:
+        played = opened
+        if prefix:
+            first += beta * bisect_right(prefix, gen.random())
+            second += beta * bisect_right(prefix, gen.random())
+        while first <= lim and second <= lim:
+            r = (n - 1 - (first if first > second else second)) // heads  # at least _HORIZON safe turns
+            if r > _BLOCK:
+                r = _BLOCK
+            table = tables[r]
+            if table is None:
+                table = tables[r] = _heads_table(r, p)
+            first += r * alpha + beta * bisect_right(table, gen.random())
+            second += r * alpha + beta * bisect_right(table, gen.random())
+            played += r
+        for k in checked:
             if gen.random() < p:
                 first += heads
             else:
                 first += alpha
             if first >= n:
+                turn = played + k
                 break
             if gen.random() < p:
                 second += heads
             else:
                 second += alpha
             if second >= n:
-                turn = -turn
+                turn = -played - k
                 break
         counts[turn] = counts.get(turn, 0) + 1
     return counts
 
 
-@lru_cache(maxsize=2)  # a stream needs at most two sizes; the streams of one process share them
+@lru_cache(maxsize=_BLOCK + 1)  # every size one p can need; the streams of one process share them
 def _heads_table(tosses: int, p: float) -> tuple[float, ...]:
     """T_j = ceil(F_j * 2**53) / 2**53 for j < tosses, F the cdf of the heads in ``tosses`` tosses.
 

@@ -217,14 +217,23 @@ def reference_run_stream(job: tuple) -> tuple[int, Counter]:
 
 
 def reference_play(rng, n: int, alpha: int, beta: int, p: float) -> int:
-    """One game: each player's heads of turns 1..l-1 by inversion per block of up to 64 tosses,
-    first player first, then every later turn toss by toss with an end check."""
-    turns = -(-n // (alpha + beta)) - 1  # no one can reach n in these turns
+    """One game: each player's heads of the first min(64, l-1) turns by inversion, first player
+    first; then, while no one can reach n in the next 3 turns, r more turns the same way, with r
+    the turns in which no one can reach n, at most 64; then every later turn toss by toss with an
+    end check."""
+    heads = alpha + beta
+    turns = min(64, -(-n // heads) - 1)  # no one can reach n in these turns
     first = second = turns * alpha
-    for done in range(0, turns, 64):
-        cdf = reference_heads_cdf(min(64, turns - done), p)
+    if turns:
+        cdf = reference_heads_cdf(turns, p)
         first += beta * bisect.bisect_right(cdf, Fraction(rng()))  # the least j with u < F_j
         second += beta * bisect.bisect_right(cdf, Fraction(rng()))
+    while max(first, second) + 3 * heads < n:
+        r = min(64, (n - 1 - max(first, second)) // heads)
+        cdf = reference_heads_cdf(r, p)
+        first += r * alpha + beta * bisect.bisect_right(cdf, Fraction(rng()))
+        second += r * alpha + beta * bisect.bisect_right(cdf, Fraction(rng()))
+        turns += r
     while True:
         turns += 1
         first += alpha
@@ -266,12 +275,23 @@ EDGE_BIASES = [0.0, 1.0, 0.3, asymptotic_optimum(1, 1).bias, 1 - 2**-53, 2**-60]
 RAW_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 
+def safe_turns_after_tails(n: int, alpha: int, beta: int) -> int:
+    """The turns in which no one can reach n after a prefix of min(64, l - 1) tails each."""
+    heads = alpha + beta
+    prefix = min(64, -(-n // heads) - 1)
+    return (n - 1 - prefix * alpha) // heads
+
+
 def turn_bound_edges(alpha: int, beta: int) -> set[int]:
-    """Targets n <= alpha + beta (l = 1), k(alpha + beta) and one more, where l steps up, and the
-    targets that put l - 1 at the edges of the 64-toss blocks."""
+    """Targets n <= alpha + beta (l = 1), k(alpha + beta) and one more, where l steps up, the
+    targets that put l - 1 at the edges of the 64-toss blocks, and the least targets that leave
+    exactly 3 safe turns (one block) and exactly 2 (none) after an all-tails prefix."""
     heads = alpha + beta
     blocks = {k * heads + 1 for k in (63, 64, 65, 128, 129)}
-    return {1, heads - 1, *(k * heads + d for k in (1, 2, 5, 20) for d in (0, 1)), *blocks}
+    horizons = {
+        min(n for n in range(1, 100 * heads) if safe_turns_after_tails(n, alpha, beta) == r) for r in (2, 3)
+    }
+    return {1, heads - 1, *(k * heads + d for k in (1, 2, 5, 20) for d in (0, 1)), *blocks, *horizons}
 
 
 @pytest.mark.parametrize(
@@ -288,6 +308,12 @@ def test_fused_stream_matches_per_game_reference(alpha, beta, n):
         jobs += [(n, alpha, beta, p, 100, stream_seed) for stream_seed in RAW_STREAM_SEEDS]
         for job in jobs:
             assert_stream_matches_reference(job)
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+def test_fused_stream_matches_reference_where_the_horizon_clamps_at_64(seed):
+    # l - 1 = 90: after the 64-turn prefix about 82 turns are safe, so the next block is cut at 64
+    assert_stream_matches_reference((1000, 1, 10, 0.05, 100, simulate_module._stream_seed(seed, 0)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -330,8 +356,61 @@ def test_a_draw_on_a_table_entry_counts_as_the_next_head_count(monkeypatch):
 def test_streams_share_their_heads_tables(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)  # every stream in this process
     simulate_module._heads_table.cache_clear()
-    simulate(SimConfig(GameParams(300, 1, 1), 0.3, 50, seed=1, workers=50))
-    assert simulate_module._heads_table.cache_info().misses == 2  # 64 and 21 tosses, for 50 streams
+    config = SimConfig(GameParams(300, 1, 1), 0.3, 50, seed=1, workers=50)
+    simulate(config)
+    built = simulate_module._heads_table.cache_info().misses
+    assert built <= 65  # each block size at most once, for 50 streams
+    simulate(config)
+    assert simulate_module._heads_table.cache_info().misses == built  # none on a second call
+
+
+def counted_draws(monkeypatch) -> list[int]:
+    """Make `_run_stream` draw from a generator that counts its draws into the returned cell."""
+    real = simulate_module._random.Random
+    drawn = [0]
+
+    class Counting:
+        def __init__(self, seed):
+            gen = real(seed)
+
+            def draw():
+                drawn[0] += 1
+                return gen.random()
+
+            self.random = draw
+
+    monkeypatch.setattr(simulate_module, "_random", types.SimpleNamespace(Random=Counting))
+    return drawn
+
+
+@pytest.mark.parametrize(
+    "n,turn,draws",
+    [
+        (11, 11, 2 + 5 * 2 + 1),  # 2 safe turns after the 5-turn prefix: tossed and checked
+        (12, 12, 2 + 2 + 3 * 2 + 1),  # 3 safe turns after the 5-turn prefix: one block
+        (13, 13, 2 + 2 + 3 * 2 + 1),  # 3 after the 6-turn prefix
+    ],
+)
+def test_all_tails_draw_one_block_where_three_turns_are_safe(monkeypatch, n, turn, draws):
+    drawn = counted_draws(monkeypatch)
+    assert simulate_module._run_stream((n, 1, 1, 0.0, 1, 0)) == {turn: 1}
+    assert drawn == [draws]
+
+
+def test_a_game_at_n_100_makes_few_draws(monkeypatch):
+    drawn = counted_draws(monkeypatch)
+    p = asymptotic_optimum(1, 1).bias
+    simulate_module._run_stream((100, 1, 1, p, 2000, simulate_module._stream_seed(7, 0)))
+    assert drawn[0] / 2000 <= 16  # 58.1 when every turn from l on is tossed and checked
+
+
+def test_a_huge_target_builds_each_block_size_at_most_once(monkeypatch):
+    drawn = counted_draws(monkeypatch)
+    simulate_module._heads_table.cache_clear()
+    assert sum(simulate_module._run_stream((10**6, 1, 1, 0.3, 2, 1)).values()) == 2
+    assert simulate_module._heads_table.cache_info().misses <= 65
+    # a full block gains each player at least 64 points, and the shrinking ones at least halve the gap
+    assert drawn[0] <= 2 * 2 * (10**6 // 64 + 64)
 
 
 def test_histogram_memory_does_not_grow_with_n():
