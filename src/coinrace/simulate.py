@@ -9,54 +9,46 @@ seed and the worker index, so a run is bit-for-bit reproducible for a fixed
 Worker counts partition the trials; changing the worker count changes the
 stream layout, which preserves correctness but not bit-identity.  The process
 pool never exceeds ``os.cpu_count()``; W workers still mean min(W, trials)
-seed streams, so the cap changes where streams run, never what they draw.  p
-is rounded to a float once, and a checked toss is a head iff the next draw in
-[0, 1) is strictly below it; unchecked tosses (below) are heads with the same
-chance, so p = 0 never tosses heads and p = 1 always does.
+seed streams, so the cap changes where streams run, never what they draw.
 
-Each stream plays its games in one loop and tallies the signed turn count of
-each: +k when the first player reaches the target on their k-th turn, -k when
-the second player wins on theirs.  In a turn where no one can reach n, only
-each player's head count matters, and such turns are drawn in blocks of at
-most 64 tosses: each block draws one uniform u for the first player, then one
-for the second, and takes the head count by inversion, as the number of table
-entries T_j <= u.  Nobody can reach n before turn l = ceil(n/(alpha+beta)),
-so the prefix is one block of min(64, l-1) turns; a game with l = 1 has no
-prefix and makes no draw for it.  After the prefix, with both players at
-``played`` turns, nobody can reach n in the next r = (n-1-max(scores)) //
-(alpha+beta) turns, and while r >= 3 each player draws one more block of
-min(r, 64) turns.  r is read from past draws only, so each block is a fixed
-number of tosses given what came before.  Three is the threshold because a
-block costs one draw and one bisection per player where a checked turn costs
-one draw and two compares; it also keeps every game with n <= 11 at
-alpha = beta = 1 free of horizon blocks.  A draw is k/2**53 for an integer
-k, so one toss is a head with chance exactly q = a/2**53, a = ceil(p*2**53).
-With F the Binomial(L, q) cdf of a block of L tosses, computed in integers,
-T_j = ceil(F_j*2**53)/2**53, and u < F_j holds exactly when u < T_j: the head
-count has the Binomial(L, q) law rounded to the 2**-53 grid of one draw.  The
-remaining turns are tossed one by one and checked after every toss, first
-player first, and the first player reaches n by turn m = ceil(n/alpha) even
-with all tails.  A stream keeps at most 65 tables, one per block size, shared
-with the other streams of its process, and the tally is a dict keyed by the
-turns that occurred, so a stream's memory never grows with the target n.
+Each stream plays its games bit-sliced, in chunks of ``_CHUNK`` = 2**16 games
+(the last chunk holds the rest): game g of a chunk is bit g of every mask and
+every draw, so one integer operation serves the whole chunk.  p is rounded to
+a float once, and a toss is a head iff a 53-bit uniform U is below
+a = ceil(p * 2**53), so each toss is a head with chance exactly a/2**53, the
+chance of ``random() < p``.  U is compared with a most significant bit first:
+each bit of U is one plane ``getrandbits(size)`` holding that bit of every
+game of the chunk, and the planes of one toss stop as soon as no active game
+is undecided, or once the remaining bits of a are all 0 (a game with U equal
+to a so far then has U >= a: a tail).  p = 0 and p = 1 make no draw.  Each
+turn the first player tosses for every active game, then the second player
+for every game still active, and a player's heads so far are a bit-sliced
+counter, one plane per binary digit, to which the head mask is added with a
+ripple carry.  At turn t a player's score t*alpha + beta*heads reaches n iff
+heads >= ceil((n - t*alpha)/beta), which is compared plane by plane; the
+games that reach n are tallied at +t for the first player and -t for the
+second, and leave the active mask.  The first player reaches n by turn
+m = ceil(n/alpha) even with all tails, so every chunk ends.  A chunk's state
+is its masks and two counters of at most log2(m) + 1 planes, and the tally is
+a dict keyed by the turns that occurred, so a stream's memory never grows
+with the number of trials and grows only as log m with the target n.  Each
+plane and mask spans the whole chunk however few of its games are still on,
+so very few trials at a huge n cost more than a per-game loop would.
 """
 
 from __future__ import annotations
 
 import _random
 import os
-from bisect import bisect_right
 from collections import Counter
-from functools import lru_cache
-from math import ceil, comb, sqrt
+from math import ceil, sqrt
 from typing import Mapping, NamedTuple
 
-from .game import GameParams, NormalizedParams, ParameterError, normalize, turn_bounds
+from .game import GameParams, ParameterError, normalize
 from .minimize import _limit_bias
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 64  # unchecked tosses per player drawn from one uniform
-_HORIZON = 3  # the fewest safe turns drawn as a block after the prefix; fewer are tossed and checked
+_CHUNK = 1 << 16  # games per chunk: game g of a chunk is bit g of every mask
 
 
 class SimConfig(NamedTuple):
@@ -150,64 +142,49 @@ def _run_jobs(jobs: list[tuple]) -> list[dict[int, int]]:
 
 def _run_stream(job: tuple) -> dict[int, int]:
     n, alpha, beta, p, trials, stream_seed = job
-    # the exact C type: CPython 3.11+ specializes gen.random() on it, not on a random.Random or a bound .random
-    gen = _random.Random(stream_seed)
-    l, m = turn_bounds(NormalizedParams(n, alpha, beta))
-    heads = alpha + beta
-    opened = min(_BLOCK, l - 1)  # the prefix: turns 1..l-1, where no one can reach n, up to one block
-    prefix = _heads_table(opened, p)  # empty when l = 1: no draw
-    start = opened * alpha  # the score after the prefix with no heads
-    lim = n - 1 - _HORIZON * heads  # both scores <= lim: no one can reach n in the next _HORIZON turns
-    tables: list[tuple[float, ...] | None] = [None] * (_BLOCK + 1)  # by block size, filled as met
-    checked = range(1, m + 1)  # always breaks: the first player reaches n by turn m
+    getrandbits = _random.Random(stream_seed).getrandbits
+    a = ceil(p * (1 << 53))  # a toss is a head iff its 53-bit uniform U < a
+    sure = a >> 53  # p = 1: every toss is a head, with no draw
+    digits = "" if sure else f"{a:053b}".rstrip("0")  # a's bits, most significant first, to its last 1
     counts: dict[int, int] = {}
-    for _ in range(trials):
-        first = second = start
-        played = opened
-        if prefix:
-            first += beta * bisect_right(prefix, gen.random())
-            second += beta * bisect_right(prefix, gen.random())
-        while first <= lim and second <= lim:
-            r = (n - 1 - (first if first > second else second)) // heads  # at least _HORIZON safe turns
-            if r > _BLOCK:
-                r = _BLOCK
-            table = tables[r]
-            if table is None:
-                table = tables[r] = _heads_table(r, p)
-            first += r * alpha + beta * bisect_right(table, gen.random())
-            second += r * alpha + beta * bisect_right(table, gen.random())
-            played += r
-        for k in checked:
-            if gen.random() < p:
-                first += heads
-            else:
-                first += alpha
-            if first >= n:
-                turn = played + k
-                break
-            if gen.random() < p:
-                second += heads
-            else:
-                second += alpha
-            if second >= n:
-                turn = -played - k
-                break
-        counts[turn] = counts.get(turn, 0) + 1
+    for start in range(0, trials, _CHUNK):
+        size = min(_CHUNK, trials - start)
+        active = (1 << size) - 1  # game g of the chunk is bit g
+        first: list[int] = []  # the first player's heads, one plane per binary digit
+        second: list[int] = []
+        turn = 0
+        while active:
+            turn += 1
+            need = max(0, -((turn * alpha - n) // beta))  # the heads that reach n by this turn
+            for sign, planes in ((1, first), (-1, second)):
+                heads = active if sure else 0
+                undecided = active
+                for digit in digits:  # compare U with a, one plane of U's bits at a time
+                    ones = undecided & getrandbits(size)  # no ~: a negative operand costs ~10x
+                    if digit == "1":
+                        heads |= undecided ^ ones
+                        undecided = ones
+                    else:
+                        undecided ^= ones
+                    if not undecided:
+                        break
+                for i, plane in enumerate(planes):  # ripple-carry add of the head mask
+                    planes[i] = plane ^ heads
+                    heads &= plane
+                    if not heads:
+                        break
+                else:
+                    if heads:
+                        planes.append(heads)
+                if need > turn or need >> len(planes):
+                    continue  # no count of heads so far reaches need
+                ge = active  # heads >= need, from the least significant plane up; with no planes, equal
+                for i, plane in enumerate(planes):
+                    ge = plane & ge if need >> i & 1 else plane | ge
+                won = active & ge
+                if won:
+                    counts[sign * turn] = counts.get(sign * turn, 0) + won.bit_count()
+                    active ^= won
+                    if not active:
+                        break
     return counts
-
-
-@lru_cache(maxsize=_BLOCK + 1)  # every size one p can need; the streams of one process share them
-def _heads_table(tosses: int, p: float) -> tuple[float, ...]:
-    """T_j = ceil(F_j * 2**53) / 2**53 for j < tosses, F the cdf of the heads in ``tosses`` tosses.
-
-    One toss is a head with chance a/2**53, so F_j * 2**(53 * tosses) is the integer
-    sum over i <= j of C(tosses, i) a**i (2**53 - a)**(tosses - i).
-    """
-    a = ceil(p * (1 << 53))
-    b = (1 << 53) - a
-    shift = 53 * (tosses - 1)
-    table, total = [], 0
-    for j in range(tosses):
-        total += comb(tosses, j) * a**j * b ** (tosses - j)
-        table.append(-(-total >> shift) / (1 << 53))
-    return tuple(table)

@@ -1,9 +1,6 @@
 """Monte Carlo simulator: determinism, statistics, histogram law."""
 
-import bisect
-import functools
 import importlib
-import itertools
 import math
 import os
 import random
@@ -13,9 +10,10 @@ import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from coinrace.advantage import advantage_at
@@ -199,67 +197,72 @@ def test_an_exact_p_is_rounded_once_before_the_streams(monkeypatch):
 
 
 def reference_run_stream(job: tuple) -> tuple[int, Counter]:
-    """A per-game stream loop, kept as the reference for the fused `_run_stream`.
+    """A game-by-game replay of `_run_stream`'s draws, kept as the reference for the bit-sliced loop.
 
     It draws from `random.Random`, the documented generator, so the comparison also checks that
     `_random.Random`, the C type `_run_stream` draws from, seeds and draws the same.
     """
     n, alpha, beta, p, trials, stream_seed = job
-    rng = random.Random(stream_seed).random
+    getrandbits = random.Random(stream_seed).getrandbits
+    a = math.ceil(Fraction(p) * 2**53)  # a toss is a head iff its 53-bit uniform is below a
+    chunk = simulate_module._CHUNK
     wins = 0
     histogram: Counter[int] = Counter()
-    for _ in range(trials):
-        outcome = reference_play(rng, n, alpha, beta, p)
-        if outcome > 0:
-            wins += 1
-        histogram[outcome] += 1
+    for start in range(0, trials, chunk):
+        for outcome in reference_play(getrandbits, min(chunk, trials - start), n, alpha, beta, a):
+            if outcome > 0:
+                wins += 1
+            histogram[outcome] += 1
     return wins, histogram
 
 
-def reference_play(rng, n: int, alpha: int, beta: int, p: float) -> int:
-    """One game: each player's heads of the first min(64, l-1) turns by inversion, first player
-    first; then, while no one can reach n in the next 3 turns, r more turns the same way, with r
-    the turns in which no one can reach n, at most 64; then every later turn toss by toss with an
-    end check."""
-    heads = alpha + beta
-    turns = min(64, -(-n // heads) - 1)  # no one can reach n in these turns
-    first = second = turns * alpha
-    if turns:
-        cdf = reference_heads_cdf(turns, p)
-        first += beta * bisect.bisect_right(cdf, Fraction(rng()))  # the least j with u < F_j
-        second += beta * bisect.bisect_right(cdf, Fraction(rng()))
-    while max(first, second) + 3 * heads < n:
-        r = min(64, (n - 1 - max(first, second)) // heads)
-        cdf = reference_heads_cdf(r, p)
-        first += r * alpha + beta * bisect.bisect_right(cdf, Fraction(rng()))
-        second += r * alpha + beta * bisect.bisect_right(cdf, Fraction(rng()))
-        turns += r
-    while True:
-        turns += 1
-        first += alpha
-        if rng() < p:
-            first += beta
-        if first >= n:
-            return turns
-        second += alpha
-        if rng() < p:
-            second += beta
-        if second >= n:
-            return -turns
+def reference_play(getrandbits, size: int, n: int, alpha: int, beta: int, a: int) -> list[int]:
+    """The signed turns of one chunk of ``size`` games, played side by side but game by game.
 
-
-@functools.lru_cache(maxsize=None)
-def reference_heads_cdf(tosses: int, p: float) -> tuple[Fraction, ...]:
-    """F_0..F_tosses, the exact cdf of the heads in ``tosses`` draws of ``rng() < p``.
-
-    A draw is k/2**53 for k uniform on [0, 2**53), so one toss is a head with chance
-    q = #{k : k/2**53 < p}/2**53; the pmf is [1] convolved ``tosses`` times with [1 - q, q].
+    Every turn the first player tosses in each game still on, then the second player in each game
+    still on; a toss adds alpha to the score, and beta more on a head, and a game ends at once when a
+    score reaches n.
     """
-    q = Fraction(math.ceil(Fraction(p) * 2**53), 2**53)
-    pmf = [Fraction(1)]
-    for _ in range(tosses):
-        pmf = [tail * (1 - q) + head * q for tail, head in zip(pmf + [0], [0] + pmf)]
-    return tuple(itertools.accumulate(pmf))
+    scores = [[0, 0] for _ in range(size)]
+    outcomes: list[int | None] = [None] * size
+    turn = 0
+    while None in outcomes:
+        turn += 1
+        for player, sign in ((0, 1), (1, -1)):
+            playing = [g for g in range(size) if outcomes[g] is None]
+            if not playing:
+                break
+            heads = reference_heads(getrandbits, size, playing, a)
+            for g in playing:
+                scores[g][player] += alpha + (beta if g in heads else 0)
+                if scores[g][player] >= n:
+                    outcomes[g] = sign * turn
+    return outcomes
+
+
+def reference_heads(getrandbits, size: int, games: list[int], a: int) -> set[int]:
+    """The games among ``games`` whose toss is a head: U < a for a 53-bit uniform U per game.
+
+    U is read most significant bit first, one plane ``getrandbits(size)`` per bit, as game g's
+    bit ``(plane >> g) & 1``.  A game is decided once its prefix of U differs from a's prefix of as
+    many bits.  No plane is drawn once every game is decided, or once a's remaining bits are all 0:
+    a game whose prefix still equals a's then has U >= a.  p = 1 (a = 2**53) draws nothing.
+    """
+    if a == 2**53:
+        return set(games)
+    prefixes = dict.fromkeys(games, 0)  # U's bits so far, for each undecided game
+    heads = set()
+    for i in range(52, -1, -1):  # bit i of U
+        if not prefixes or a % 2 ** (i + 1) == 0:
+            break
+        plane = getrandbits(size)
+        for g in list(prefixes):
+            prefixes[g] = 2 * prefixes[g] + ((plane >> g) & 1)
+            if prefixes[g] != a >> i:
+                if prefixes[g] < a >> i:
+                    heads.add(g)
+                del prefixes[g]
+    return heads
 
 
 def assert_stream_matches_reference(job: tuple) -> None:
@@ -270,28 +273,22 @@ def assert_stream_matches_reference(job: tuple) -> None:
     assert sum(c for t, c in tally.items() if t > 0) == wins, job
 
 
-EDGE_BIASES = [0.0, 1.0, 0.3, asymptotic_optimum(1, 1).bias, 1 - 2**-53, 2**-60]
+# 0.75 is a = 0b11 then 51 zeros, so its tosses stop after at most two planes
+EDGE_BIASES = [0.0, 1.0, 0.3, asymptotic_optimum(1, 1).bias, 1 - 2**-53, 2**-60, 0.75]
 # unmixed stream seeds: one- and two-word init_by_array keys, one of them with a zero low word
 RAW_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-
-
-def safe_turns_after_tails(n: int, alpha: int, beta: int) -> int:
-    """The turns in which no one can reach n after a prefix of min(64, l - 1) tails each."""
-    heads = alpha + beta
-    prefix = min(64, -(-n // heads) - 1)
-    return (n - 1 - prefix * alpha) // heads
+SMALL_CHUNK = 8
+CHUNK_EDGES = [1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]  # trials, with _CHUNK = SMALL_CHUNK
 
 
 def turn_bound_edges(alpha: int, beta: int) -> set[int]:
-    """Targets n <= alpha + beta (l = 1), k(alpha + beta) and one more, where l steps up, the
-    targets that put l - 1 at the edges of the 64-toss blocks, and the least targets that leave
-    exactly 3 safe turns (one block) and exactly 2 (none) after an all-tails prefix."""
+    """Targets n <= alpha + beta (l = 1), k(alpha + beta) and one more, where l steps up, and the
+    targets k(alpha + beta) + 1 at which a winner on its earliest turn needs about k heads, for k
+    about 16, 64 and 128, where the head counters and the compare with the heads needed step up a
+    plane."""
     heads = alpha + beta
-    blocks = {k * heads + 1 for k in (63, 64, 65, 128, 129)}
-    horizons = {
-        min(n for n in range(1, 100 * heads) if safe_turns_after_tails(n, alpha, beta) == r) for r in (2, 3)
-    }
-    return {1, heads - 1, *(k * heads + d for k in (1, 2, 5, 20) for d in (0, 1)), *blocks, *horizons}
+    planes = {k * heads + 1 for k in (8, 15, 16, 63, 64, 65, 128, 129)}
+    return {1, heads - 1, *(k * heads + d for k in (1, 2, 5, 20) for d in (0, 1)), *planes}
 
 
 @pytest.mark.parametrize(
@@ -302,115 +299,139 @@ def turn_bound_edges(alpha: int, beta: int) -> set[int]:
         for n in sorted({1, 2, 5, 17, 100} | turn_bound_edges(alpha, beta))
     ],
 )
-def test_fused_stream_matches_per_game_reference(alpha, beta, n):
+def test_fused_stream_matches_per_game_reference(monkeypatch, alpha, beta, n):
+    mixed_seeds = [simulate_module._stream_seed(seed, 0) for seed in (0, 12345, 2**64 - 1)]
     for p in EDGE_BIASES:
-        jobs = [(n, alpha, beta, p, 300, simulate_module._stream_seed(seed, 0)) for seed in (0, 12345, 2**64 - 1)]
+        jobs = [(n, alpha, beta, p, 300, stream_seed) for stream_seed in mixed_seeds]
         jobs += [(n, alpha, beta, p, 100, stream_seed) for stream_seed in RAW_STREAM_SEEDS]
         for job in jobs:
             assert_stream_matches_reference(job)
+    monkeypatch.setattr(simulate_module, "_CHUNK", SMALL_CHUNK)
+    for p in EDGE_BIASES:
+        for trials in CHUNK_EDGES:
+            for stream_seed in mixed_seeds:
+                assert_stream_matches_reference((n, alpha, beta, p, trials, stream_seed))
+
+
+def test_fused_stream_matches_reference_past_one_full_chunk():
+    p = asymptotic_optimum(1, 1).bias
+    assert_stream_matches_reference((3, 1, 1, p, simulate_module._CHUNK + 1, simulate_module._stream_seed(3, 0)))
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
-def test_fused_stream_matches_reference_where_the_horizon_clamps_at_64(seed):
-    # l - 1 = 90: after the 64-turn prefix about 82 turns are safe, so the next block is cut at 64
+def test_fused_stream_matches_reference_on_a_long_game(seed):
+    # games of 550 to 730 turns, whose winners' head counters reach 6 planes
     assert_stream_matches_reference((1000, 1, 10, 0.05, 100, simulate_module._stream_seed(seed, 0)))
 
 
-@settings(max_examples=200, deadline=None)
+# no shrinking: a failing example shrinks by replaying whole streams, which took over 15 minutes
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
-    n=st.integers(1, 220),  # l - 1 reaches 21 at alpha + beta = 10 and 109 at alpha = beta = 1
+    n=st.integers(1, 220),  # up to 220 turns at alpha = 1, and head counters of up to 8 planes
     alpha=st.integers(1, 5),
     beta=st.integers(1, 5),
-    p=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 1.0) | st.integers(0, 64).map(lambda k: k / 64),  # dyadic: a ends in zeros
     seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(1, 50),
+    chunk=st.integers(1, 64),
 )
-def test_fused_stream_matches_reference_on_random_games(n, alpha, beta, p, seed):
-    assert_stream_matches_reference((n, alpha, beta, p, 50, seed))
+def test_fused_stream_matches_reference_on_random_games(n, alpha, beta, p, seed, trials, chunk):
+    with mock.patch.object(simulate_module, "_CHUNK", chunk):
+        assert_stream_matches_reference((n, alpha, beta, p, trials, seed))
 
 
-@pytest.mark.parametrize("p", EDGE_BIASES)
-@pytest.mark.parametrize("tosses", [1, 2, 5, 63, 64])
-def test_heads_table_is_the_cdf_rounded_up_to_the_draw_grid(tosses, p):
-    cdf = reference_heads_cdf(tosses, p)
-    assert cdf[-1] == 1
-    expected = tuple(math.ceil(f * 2**53) / 2**53 for f in cdf[:-1])
-    assert simulate_module._heads_table(tosses, p) == expected
-    if p in (0.0, 1.0):
-        assert expected == (1.0 - p,) * tosses  # p = 0 never tosses heads, p = 1 always does
+def scripted_planes(monkeypatch, planes: list[int]) -> list[int]:
+    """Make `_run_stream` draw ``planes`` in order; returns the sizes it asks for, as it asks."""
+    sizes: list[int] = []
+    script = iter(planes)
+
+    def getrandbits(size):
+        sizes.append(size)
+        return next(script)
+
+    generator = types.SimpleNamespace(getrandbits=getrandbits)
+    monkeypatch.setattr(simulate_module, "_random", types.SimpleNamespace(Random=lambda seed: generator))
+    return sizes
 
 
-def test_a_draw_on_a_table_entry_counts_as_the_next_head_count(monkeypatch):
-    # u < F_j iff u < T_j, so a draw equal to T_j gives more than j heads
-    draws = [0.5, 0.0] + [0.9] * 4  # (3, 1, 1): turn 1 is one unchecked toss per player
-    assert simulate_module._heads_table(1, 0.5) == (0.5,)
-
-    class Scripted:
-        def __init__(self, seed):
-            self.random = iter(draws).__next__
-
-    monkeypatch.setattr(simulate_module, "_random", types.SimpleNamespace(Random=Scripted))
-    assert simulate_module._run_stream((3, 1, 1, 0.5, 1, 0)) == {2: 1}  # 1 + 1 head, then 1 + 1 tail
-    assert reference_play(iter(draws).__next__, 3, 1, 1, 0.5) == 2
-
-
-def test_streams_share_their_heads_tables(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # every stream in this process
-    simulate_module._heads_table.cache_clear()
-    config = SimConfig(GameParams(300, 1, 1), 0.3, 50, seed=1, workers=50)
-    simulate(config)
-    built = simulate_module._heads_table.cache_info().misses
-    assert built <= 65  # each block size at most once, for 50 streams
-    simulate(config)
-    assert simulate_module._heads_table.cache_info().misses == built  # none on a second call
-
-
-def counted_draws(monkeypatch) -> list[int]:
-    """Make `_run_stream` draw from a generator that counts its draws into the returned cell."""
-    real = simulate_module._random.Random
-    drawn = [0]
-
-    class Counting:
-        def __init__(self, seed):
-            gen = real(seed)
-
-            def draw():
-                drawn[0] += 1
-                return gen.random()
-
-            self.random = draw
-
-    monkeypatch.setattr(simulate_module, "_random", types.SimpleNamespace(Random=Counting))
-    return drawn
+def scripted_reference(planes: list[int]):
+    """A ``getrandbits`` for `reference_play` that returns ``planes`` in order."""
+    script = iter(planes)
+    return lambda size: next(script)
 
 
 @pytest.mark.parametrize(
-    "n,turn,draws",
-    [
-        (11, 11, 2 + 5 * 2 + 1),  # 2 safe turns after the 5-turn prefix: tossed and checked
-        (12, 12, 2 + 2 + 3 * 2 + 1),  # 3 safe turns after the 5-turn prefix: one block
-        (13, 13, 2 + 2 + 3 * 2 + 1),  # 3 after the 6-turn prefix
-    ],
+    "p,digits",
+    [(0.5, [1]), (0.75, [1, 1]), (0.625, [1, 0, 1]), (2**-60, [0] * 52 + [1])],  # a = 1 for 2**-60
 )
-def test_all_tails_draw_one_block_where_three_turns_are_safe(monkeypatch, n, turn, draws):
-    drawn = counted_draws(monkeypatch)
-    assert simulate_module._run_stream((n, 1, 1, 0.0, 1, 0)) == {turn: 1}
-    assert drawn == [draws]
+def test_u_equal_to_a_is_a_tail_and_a_toss_draws_no_plane_past_the_last_one_of_a(monkeypatch, p, digits):
+    # (2, 1, 1): three tails, each with U == a, end the game on turn 2
+    sizes = scripted_planes(monkeypatch, digits * 3)
+    assert simulate_module._run_stream((2, 1, 1, p, 1, 0)) == {2: 1}
+    assert sizes == [1] * (3 * len(digits))
+    a = math.ceil(Fraction(p) * 2**53)
+    assert reference_play(scripted_reference(digits * 3), 1, 2, 1, 1, a) == [2]
 
 
-def test_a_game_at_n_100_makes_few_draws(monkeypatch):
-    drawn = counted_draws(monkeypatch)
-    p = asymptotic_optimum(1, 1).bias
-    simulate_module._run_stream((100, 1, 1, p, 2000, simulate_module._stream_seed(7, 0)))
-    assert drawn[0] / 2000 <= 16  # 58.1 when every turn from l on is tossed and checked
+@pytest.mark.parametrize("prefix", [[0], [1, 0]])
+def test_u_below_a_is_a_head(monkeypatch, prefix):
+    # 0.75 is a = 0b11 then zeros: a U that starts 0 or 10 is a head
+    sizes = scripted_planes(monkeypatch, prefix)
+    assert simulate_module._run_stream((2, 1, 1, 0.75, 1, 0)) == {1: 1}  # one head reaches 2 on turn 1
+    assert sizes == [1] * len(prefix)
+    assert reference_play(scripted_reference(prefix), 1, 2, 1, 1, math.ceil(Fraction(0.75) * 2**53)) == [1]
 
 
-def test_a_huge_target_builds_each_block_size_at_most_once(monkeypatch):
-    drawn = counted_draws(monkeypatch)
-    simulate_module._heads_table.cache_clear()
-    assert sum(simulate_module._run_stream((10**6, 1, 1, 0.3, 2, 1)).values()) == 2
-    assert simulate_module._heads_table.cache_info().misses <= 65
-    # a full block gains each player at least 64 points, and the shrinking ones at least halve the gap
-    assert drawn[0] <= 2 * 2 * (10**6 // 64 + 64)
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("p", EDGE_BIASES)
+def test_a_toss_is_a_head_exactly_where_u_is_below_a(monkeypatch, p, size):
+    # U at and next to a, at both ends of [0, 2**53) and one bit off a, then seeded; game g is bit g
+    a = math.ceil(Fraction(p) * 2**53)
+    near = [a - 1, a, a + 1, 0, 2**53 - 1, a ^ 1, a ^ 2**52, a ^ 2**26]
+    rng = random.Random(size)
+    us = [min(max(u, 0), 2**53 - 1) for u in near + [rng.getrandbits(53) for _ in range(size)]][:size]
+    planes = [sum(((u >> i) & 1) << g for g, u in enumerate(us)) for i in range(52, -1, -1)]
+    script = planes + [(1 << size) - 1] * 2 * 53  # later tosses: what is left, then all ones (tails)
+    scripted_planes(monkeypatch, script)
+    # (2, 1, 1): a head on the first toss reaches 2 on turn 1
+    tally = simulate_module._run_stream((2, 1, 1, p, size, 0))
+    assert tally.get(1, 0) == sum(u < a for u in us)
+    assert tally == Counter(reference_play(scripted_reference(script), size, 2, 1, 1, a))
+
+
+@pytest.mark.parametrize("p,turn", [(0.0, 5), (1.0, 3)])
+def test_p_0_and_p_1_make_no_draw(monkeypatch, p, turn):
+    sizes = scripted_planes(monkeypatch, [])
+    monkeypatch.setattr(simulate_module, "_CHUNK", 2)
+    assert simulate_module._run_stream((5, 1, 1, p, 5, 0)) == {turn: 5}  # all tails, or all heads
+    assert sizes == []
+
+
+def test_the_planes_of_a_toss_stop_once_every_active_game_is_decided(monkeypatch):
+    # a for p = 1/3 begins 0, 1, 0; two games of (2, 1, 1), game g is bit g
+    planes = [
+        0b01, 0b00,  # turn 1, first player: game 0 a tail at once, game 1 a head on the second plane
+        0b10, 0b11, 0b01,  # second player, game 0 only: ties, ties, a tail; game 1's bits are ignored
+        0b11,  # turn 2, first player, game 0: a tail, and 1 + 1 reaches 2
+    ]
+    sizes = scripted_planes(monkeypatch, planes)
+    assert simulate_module._run_stream((2, 1, 1, 1 / 3, 2, 0)) == {1: 1, 2: 1}
+    assert sizes == [2] * len(planes)
+    a = math.ceil(Fraction(1 / 3) * 2**53)
+    assert reference_play(scripted_reference(planes), 2, 2, 1, 1, a) == [2, 1]
+
+
+def test_a_million_games_match_the_signed_turn_law_in_every_bucket():
+    g = GameParams(10, 1, 1)
+    trials = 10**6  # 16 chunks
+    result = simulate_at_pstar(g, trials, seed=35)
+    q = Fraction(math.ceil(Fraction(asymptotic_optimum(1, 1).bias) * 2**53), 2**53)  # the chance of one head
+    law = signed_turn_law(g, q)
+    assert set(result.turn_histogram) <= set(law)
+    for k, expected in law.items():
+        share = float(expected)
+        sigma = math.sqrt(share * (1 - share) / trials)
+        assert abs(result.turn_histogram.get(k, 0.0) - share) <= 5 * sigma, k
 
 
 def test_histogram_memory_does_not_grow_with_n():
