@@ -26,7 +26,7 @@ from .minimize import _check_tol, asymptotic_optimum, minimize_advantage
 from .oracle import run_grid_verification
 from .polynomial import render
 from .simulate import SimConfig, simulate, simulate_at_pstar
-from .stopping import hit_time_distribution
+from .stopping import hit_time_distribution, win_turn_slots
 from .tables import POLYNOMIAL_TABLES, minimized_table, polynomial_table
 
 FORMATS = ("text", "json", "csv", "latex")
@@ -157,7 +157,7 @@ def _params(args) -> GameParams:
 
 
 def _exact(x) -> str:
-    """``str(x)`` of a Fraction, also past CPython's cap on the digits of an int, which Decimal lacks."""
+    """``str(x)`` of an int or a Fraction, also past CPython's cap on the digits of an int, which Decimal lacks."""
     num = str(Decimal(x.numerator))
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
@@ -170,7 +170,7 @@ def _cmd_poly(args) -> Report:
     return Report(
         {"n": n, "alpha": alpha, "beta": beta,
          "l": result.bounds.l, "m": result.bounds.m, "degenerate": result.degenerate,
-         "degree": poly.degree, "coefficients": [str(c) for c in poly.coeffs]},
+         "degree": poly.degree, "coefficients": [_exact(c) for c in poly.coeffs]},
         ["n", "alpha", "beta", "degenerate", "degree", "polynomial"],
         lambda: [[n, alpha, beta, result.degenerate, poly.degree, render(poly)]],
         lambda: [render(poly) + suffix],
@@ -286,7 +286,7 @@ def _cmd_table(args) -> Report:
 def _cmd_verify(args) -> Report:
     """Verify's LaTeX output is its text output; its CSV rows end with the summary lines."""
     total, mismatches, skipped = run_grid_verification(
-        args.max_n, args.max_alpha, args.max_beta, hit_time_distribution)
+        args.max_n, args.max_alpha, args.max_beta, win_turn_slots)
     matched = total - len(mismatches)
     summary = [f"{matched}/{total} cases match"]
     doc = {"total": total, "matched": matched, "mismatches": mismatches}

@@ -5,38 +5,40 @@ heads a player holds turn*alpha + h*beta points, with chance
 p^h (1-p)^(turn-h), so each live state is a heads count h holding one integer:
 how many such toss sequences have not yet reached the target.  Each turn moves
 every count to h (tails) and to h + 1 (heads).  The counts that reach the
-target on turn k, times p^h (1-p)^(k-h), sum to the win-turn probability
-pmf[k], expanded with one row of (1-p)^r that only ever walks forward.  There
-are no threshold formulas and no binomials anywhere, and this module depends
-only on the polynomial substrate and the parameter type, so it stays an
-independent check on the analytic construction in ``stopping``.
+target on turn k are the win-turn probability pmf[k] in the (p, 1-p) basis:
+the count at h is the coefficient of p^h (1-p)^(k-h).  A form of degree k has
+one set of such coefficients, so equal counts mean equal pmfs, and nothing is
+expanded.  There are no threshold formulas and no binomials anywhere, and this
+module depends only on the parameter type, so it stays an independent check
+on the analytic construction in ``stopping``.
 
 At most min(k + 1, n) counts are alive after k turns, so a game that lasts up
-to m = ceil(n/alpha) turns costs O(m^2) big-integer additions for the counts
-and O(m^2 * ceil(alpha/beta)) for the expansion; ``MAX_TURNS`` caps m at
-1000, so the oracle reaches the longest games the exact pipeline is tested at.
-``run_grid_verification`` checks an analytic pmf builder against the oracle
-over a parameter grid, skipping the games past that cap.
+to m = ceil(n/alpha) turns costs O(m^2) big-integer additions; ``MAX_TURNS``
+caps m at 1000, so the oracle reaches the longest games the exact pipeline is
+tested at.  ``run_grid_verification`` checks an analytic builder of the same
+counts against the oracle over a parameter grid, skipping the games past that
+cap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .game import NormalizedParams, ParameterError, coprime, parse_rational
-from .polynomial import Poly
+from .game import NormalizedParams, ParameterError, coprime, parse_rational, turn_bounds
 
 # Cap on m = ceil(n/alpha), the most turns a game can last.  At the cap the
-# costliest games (alpha = beta = 1) take about 0.4 s on one core of a
-# 2-CPU x86-64 machine under CPython 3.11, and the cost grows like m^3.
+# costliest games (alpha = beta = 1) take about 0.02 s on one core of a
+# 2-CPU x86-64 machine under CPython 3.11, and the cost grows like m^2.
 MAX_TURNS = 1000
 
 
-def brute_force_hit_pmf(params: NormalizedParams) -> dict[int, Poly]:
+def brute_force_hit_pmf(params: NormalizedParams) -> dict[int, tuple[int, list[int]]]:
     """Win-turn pmf rebuilt by forward dynamic programming over one player's tosses.
 
-    Raises ParameterError when the game can last more than ``MAX_TURNS``
-    turns.  Only turns with a nonzero win probability appear as keys.
+    Maps each win turn k to (j0, c), with pmf[k] = sum_i c[i] p^(j0+i) (1-p)^(k-j0-i),
+    the shape ``stopping.win_turn_slots`` returns.  Raises ParameterError when
+    the game can last more than ``MAX_TURNS`` turns.  Only turns with a nonzero
+    win probability appear as keys.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
     max_turns = -(-n // alpha)  # all tails reach the target by this turn
@@ -45,8 +47,7 @@ def brute_force_hit_pmf(params: NormalizedParams) -> dict[int, Poly]:
             f"oracle needs {max_turns} turns; oversized (cap {MAX_TURNS})"
         )
     alive = [1]  # alive[h]: toss sequences of `turn` tosses with h heads, still below n
-    row = [1]  # ascending coefficients of (1 - p)^r, r = len(row) - 1
-    pmf: dict[int, Poly] = {}
+    pmf: dict[int, tuple[int, list[int]]] = {}
     turn = 0
     while alive:
         turn += 1
@@ -55,18 +56,9 @@ def brute_force_hit_pmf(params: NormalizedParams) -> dict[int, Poly]:
         cut = len(moved)
         while cut and turn * alpha + (cut - 1) * beta >= n:
             cut -= 1
-        alive, top = moved[:cut], len(moved) - 1
-        if cut <= top:
-            # A later win has no more heads, so r = turn - h only grows.
-            if len(row) > turn - top + 1:
-                raise RuntimeError(f"oracle row of (1-p)^r went backwards at turn {turn}")
-            out = [0] * top
-            for h in range(top, cut - 1, -1):
-                while len(row) <= turn - h:
-                    row = [a - b for a, b in zip([*row, 0], [0, *row])]
-                c = moved[h]
-                out[h:] = [a + c * b for a, b in zip(out[h:], row)] if h < top else [c * b for b in row]
-            pmf[turn] = Poly(out)
+        alive = moved[:cut]
+        if cut < len(moved):
+            pmf[turn] = (cut, moved[cut:])
     return pmf
 
 
@@ -75,8 +67,9 @@ def run_grid_verification(
 ) -> tuple[int, list[dict], list[dict]]:
     """Compare ``analytic`` with the oracle over an integer parameter grid.
 
-    ``analytic`` maps a NormalizedParams to an object whose ``pmf`` maps each
-    win turn to its Poly, as ``stopping.hit_time_distribution`` does.
+    ``analytic`` maps (k, NormalizedParams) to the (j0, c) counts of turn k,
+    as ``stopping.win_turn_slots`` does; it is asked for every turn k in the
+    game's [l, m] from ``game.turn_bounds``.
     Returns (checked case count, mismatch records, skipped records), one
     record ``{"n", "alpha", "beta"}`` per raw case on the grid; a mismatch
     record adds ``k``, the first turn where the two pmfs differ.  Each raw
@@ -100,7 +93,8 @@ def run_grid_verification(
                     except ParameterError:  # oversized
                         verdicts[game] = None
                     else:
-                        got = analytic(game).pmf
+                        l, m = turn_bounds(game)
+                        got = {k: analytic(k, game) for k in range(l, m + 1)}
                         verdicts[game] = 0 if got == expected else min(
                             k for k in got.keys() | expected.keys() if got.get(k) != expected.get(k))
                 k = verdicts[game]
@@ -112,15 +106,17 @@ def run_grid_verification(
 
 
 def brute_force_advantage(params: NormalizedParams, p: int | Fraction) -> Fraction:
-    """First player's win probability at bias p, from the oracle's pmf.
+    """First player's win probability at bias p, from the oracle's counts.
 
     Both players' win turns are independent and identically distributed and
     the first mover wins ties, so the win probability is
-    (1 + sum_k pmf(k)(p)^2) / 2.
+    (1 + sum_k pmf(k)(p)^2) / 2, each pmf(k) summed from its counts.
     """
     p = parse_rational(p)
     if not 0 <= p <= 1:
         raise ParameterError("p must be in [0, 1]")
-    pmf = brute_force_hit_pmf(params)
-    tie = sum(f(p) ** 2 for f in pmf.values())
+    tie = sum(
+        sum(c * p**h * (1 - p) ** (k - h) for h, c in enumerate(counts, j0)) ** 2
+        for k, (j0, counts) in brute_force_hit_pmf(params).items()
+    )
     return (1 + tie) / 2

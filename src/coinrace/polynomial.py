@@ -13,6 +13,7 @@ share between threads.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -117,7 +118,8 @@ def render(poly: Poly, latex: bool = False) -> str:
     """Human-readable form, ascending powers with explicit signs.
 
     ``render(Poly((1, -2, 5, -4, 1)))`` gives ``"1 - 2p + 5p^2 - 4p^3 + p^4"``.
-    LaTeX mode braces exponents and adds thousands separators.
+    LaTeX mode braces exponents and adds thousands separators.  Coefficients
+    are written through ``Decimal``, which has no cap on the digits of an int.
     """
     if not poly:
         return "0"
@@ -125,7 +127,7 @@ def render(poly: Poly, latex: bool = False) -> str:
     for power, c in enumerate(poly.coeffs):
         if c == 0:
             continue
-        mag = f"{abs(c):,}" if latex else str(abs(c))
+        mag = f"{Decimal(abs(c)):,}" if latex else str(Decimal(abs(c)))
         if power == 0:
             term = mag
         else:

@@ -28,3 +28,28 @@ def ref_mul(a, b):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return ref_strip(out)
+
+
+def ref_expand_counts(counts):
+    """Ascending monomial coefficients of each turn's form, from its (p, 1-p) counts.
+
+    ``counts`` maps a turn k to (j0, c), the form sum_i c[i] p^(j0+i) (1-p)^(k-j0-i),
+    as ``coinrace.oracle.brute_force_hit_pmf`` and ``coinrace.stopping.win_turn_slots``
+    state it.  Each term is expanded with one row of (1-p)^r, built from the row
+    before by one Pascal step, so turns must come with r = k - h never going
+    backwards: a later win has no more heads.  The oracle's counts always do.
+    """
+    row = [1]  # ascending coefficients of (1 - p)^r, r = len(row) - 1
+    out = {}
+    for k in sorted(counts):
+        j0, c = counts[k]
+        top = j0 + len(c) - 1
+        if len(row) > k - top + 1:
+            raise ValueError(f"row of (1-p)^r went backwards at turn {k}")
+        acc = [0] * (k + 1)
+        for h in range(top, j0 - 1, -1):
+            while len(row) <= k - h:
+                row = [a - b for a, b in zip([*row, 0], [0, *row])]
+            acc[h:] = [a + c[h - j0] * b for a, b in zip(acc[h:], row)]
+        out[k] = ref_strip(acc)
+    return out

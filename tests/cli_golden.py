@@ -15,13 +15,10 @@ import io
 import json
 import sys
 from pathlib import Path
-from types import MappingProxyType
 
-from algebra import ref_add
 import coinrace.cli as cli
 import coinrace.oracle as oracle
-from coinrace.polynomial import Poly
-from coinrace.stopping import hit_time_distribution
+from coinrace.stopping import win_turn_slots
 
 FIXTURE = Path(__file__).with_name("fixtures") / "cli_golden.json"
 FORMATS = ("text", "json", "csv", "latex")
@@ -68,18 +65,16 @@ CASES = [
 ]
 
 
-def _corrupted(params):
-    """The analytic pmf with one coefficient of the (3, 1, 1) game changed."""
-    dist = hit_time_distribution(params)
-    pmf = dict(dist.pmf)
-    if params.n == 3 and params.alpha == 1 and params.beta == 1:
-        last = max(pmf)
-        pmf[last] = Poly(ref_add(pmf[last].coeffs, (0, 1)))
-    return type(dist)(dist.bounds, MappingProxyType(pmf))
+def _corrupted(k, params):
+    """The analytic counts with one more sequence in the last slot of (3, 1, 1) at k = 3."""
+    j0, slots = win_turn_slots(k, params)
+    if (k, params.n, params.alpha, params.beta) == (3, 3, 1, 1):
+        slots = [*slots[:-1], slots[-1] + 1]
+    return j0, slots
 
 
 PATCHES = {
-    "corrupt-builder": (cli, "hit_time_distribution", _corrupted),
+    "corrupt-builder": (cli, "win_turn_slots", _corrupted),
     "oracle-cap-3": (oracle, "MAX_TURNS", 3),
 }
 

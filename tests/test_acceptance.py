@@ -17,14 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from algebra import ref_add
+from algebra import ref_add, ref_expand_counts
 from coinrace.advantage import advantage_at, advantage_polynomial
 from coinrace.game import GameParams, normalize, turn_bounds
 from coinrace.minimize import asymptotic_optimum, minimize_advantage
 from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly
 from coinrace.simulate import SimConfig, simulate
-from coinrace.stopping import hit_time_distribution
+from coinrace.stopping import hit_time_distribution, win_turn_slots
 from coinrace.tables import minimized_table, reference_minimized
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -103,7 +103,10 @@ def test_criterion_4_oracle_equivalence():
     total = 0
     for params in exhaustive_grid():
         total += 1
-        if brute_force_hit_pmf(params) != dict(hit_time_distribution(params).pmf):
+        dist = hit_time_distribution(params)
+        counts = brute_force_hit_pmf(params)
+        if (counts != {k: win_turn_slots(k, params) for k in dist.support()}
+                or ref_expand_counts(counts) != {k: f.coeffs for k, f in dist.pmf.items()}):
             bad.append(params)
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 60

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebra import ref_add, ref_mul
+from algebra import ref_add, ref_expand_counts, ref_mul
 from coinrace.advantage import advantage_at, advantage_polynomial, tie_probability
 from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
 from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly, from_homogeneous
-from coinrace.stopping import ConsistencyError, hit_time_distribution
+from coinrace.stopping import ConsistencyError, hit_time_distribution, win_turn_slots
 from coinrace.tables import POLYNOMIAL_TABLES
 
 params_rationals = st.fractions(min_value=Fraction(1, 2), max_value=6, max_denominator=4)
@@ -197,8 +197,12 @@ def test_corrupted_tail_fails_the_telescoping_check(monkeypatch, end):
 def test_advantage_matches_oracle_products_at_degree_118():
     # Shares neither the analytic pmf nor the Kronecker squaring: oracle pmf,
     # schoolbook products.
-    pmf = brute_force_hit_pmf(normalize(GameParams(60, 1, 1)))
-    doubled = ref_add(naive_sum_of_squares(pmf.values()), (1,))
+    params = normalize(GameParams(60, 1, 1))
+    counts = brute_force_hit_pmf(params)
+    l, m = turn_bounds(params)
+    assert counts == {k: win_turn_slots(k, params) for k in range(l, m + 1)}
+    pmf = ref_expand_counts(counts)
+    doubled = ref_add(naive_sum_of_squares(Poly(c) for c in pmf.values()), (1,))
     assert len(doubled) - 1 == 118
     assert ref_mul((2,), advantage_polynomial(GameParams(60, 1, 1)).poly.coeffs) == doubled
 
@@ -222,5 +226,11 @@ def test_integer_polynomials_store_int_coefficients(game):
 
 
 def test_oracle_pmf_stores_int_coefficients():
-    pmf = brute_force_hit_pmf(normalize(GameParams(12, 1, 1)))
-    assert pmf and all(all_ints(f) for f in pmf.values())
+    params = normalize(GameParams(12, 1, 1))
+    counts = brute_force_hit_pmf(params)
+    l, m = turn_bounds(params)
+    assert counts == {k: win_turn_slots(k, params) for k in range(l, m + 1)}
+    assert counts and all(type(j0) is int and all(type(c) is int for c in slots)
+                          for j0, slots in counts.values())
+    pmf = ref_expand_counts(counts)
+    assert pmf and all(type(x) is int for c in pmf.values() for x in c)

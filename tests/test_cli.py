@@ -21,8 +21,8 @@ from coinrace.advantage import advantage_at
 from coinrace.game import GameParams, ParameterError
 from coinrace.minimize import MinimizationResult
 from coinrace.oracle import run_grid_verification
-from coinrace.polynomial import Poly
-from coinrace.stopping import hit_time_distribution
+from coinrace.polynomial import Poly, render
+from coinrace.stopping import win_turn_slots
 from coinrace.tables import polynomial_table
 
 GOLDEN = cli_golden.load()
@@ -38,6 +38,29 @@ def test_poly_text(capsys):
     code, out, _ = run_cli(capsys, "poly", "--n", "3", "--alpha", "1", "--beta", "1")
     assert code == 0
     assert out.strip() == "1 - 2p + 5p^2 - 4p^3 + p^4"
+
+
+def test_poly_writes_coefficients_past_the_int_digit_cap(capsys, monkeypatch):
+    # 4516 decimal digits, past CPython's default cap of 4300 on str(int); no game is built
+    from coinrace.advantage import AdvantageResult
+    from coinrace.game import TurnBounds
+
+    c = 3 * 10**4515 + 1
+    assert c.bit_length() > 15000
+    digits = "3" + "0" * 4514 + "1"
+    head = len(digits) % 3 or 3
+    grouped = ",".join([digits[:head], *(digits[i:i + 3] for i in range(head, len(digits), 3))])
+    poly = Poly((c, -c))
+    assert render(poly) == f"{digits} - {digits}p"
+    assert render(poly, latex=True) == f"{grouped} - {grouped}p"
+    result = AdvantageResult(None, TurnBounds(1, 2), poly, False, ())
+    monkeypatch.setattr(cli, "advantage_polynomial", lambda params: result)
+    argv = ("poly", "--n", "2", "--alpha", "1", "--beta", "1")
+    assert run_cli(capsys, *argv) == (0, f"{digits} - {digits}p\n", "")
+    assert run_cli(capsys, *argv, "--format", "latex") == (0, f"${grouped} - {grouped}p$\n", "")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"] == [digits, f"-{digits}"]
 
 
 def test_poly_degenerate_text(capsys):
@@ -368,7 +391,7 @@ def test_non_finite_tol_exits_2(capsys, argv, tol):
 @pytest.mark.parametrize("bounds", [(0, 3, 3), (5, 0, 1), (5, 1, -2)])
 def test_empty_verify_grid_is_a_parameter_error(bounds):
     with pytest.raises(ParameterError):
-        run_grid_verification(*bounds, hit_time_distribution)
+        run_grid_verification(*bounds, win_turn_slots)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
@@ -381,7 +404,7 @@ def test_verify_bound_below_one_exits_2(capsys, fmt, flag):
 
 
 def test_verify_detects_corruption(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "hit_time_distribution", cli_golden._corrupted)
+    monkeypatch.setattr(cli, "win_turn_slots", cli_golden._corrupted)
     code, out, _ = run_cli(
         capsys, "verify", "--max-n", "4", "--max-alpha", "1", "--max-beta", "1"
     )
@@ -396,9 +419,9 @@ def test_verify_checks_each_normalized_game_once(monkeypatch):
 
     built = []
 
-    def counting(params):
-        built.append(params)
-        return cli_golden._corrupted(params)
+    def counting(k, params):
+        built.append((k, params))
+        return cli_golden._corrupted(k, params)
 
     raw = [(n, a, b) for n in range(1, 7) for a in (1, 2) for b in (1, 2)]
     games = {normalize(GameParams(*case)) for case in raw}
@@ -406,7 +429,9 @@ def test_verify_checks_each_normalized_game_once(monkeypatch):
     total, mismatches, skipped = run_grid_verification(6, 2, 2, counting)
     assert (total, skipped) == (len(raw), [])
     assert mismatches == [{"n": 3, "alpha": 1, "beta": 1, "k": 3}, {"n": 6, "alpha": 2, "beta": 2, "k": 3}]
-    assert len(built) == len(set(built)) == len(games)
+    # one call per turn of each game, and each game once
+    assert len(built) == len(set(built))
+    assert {params for _, params in built} == games
 
     # at a cap of 2 turns, (3, 1, 1) and (6, 2, 2) are one skipped game
     for cap in (3, 2):

@@ -7,22 +7,41 @@ from functools import reduce
 
 import pytest
 
-from algebra import ref_add
+from algebra import ref_add, ref_expand_counts
 import coinrace.oracle as oracle_module
 from coinrace.game import GameParams, NormalizedParams, ParameterError, normalize
 from coinrace.oracle import brute_force_advantage, brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly
-from coinrace.stopping import hit_time_distribution
+from coinrace.stopping import hit_time_distribution, win_turn_slots
 
 
 def nparams(n, alpha, beta):
     return normalize(GameParams(n, alpha, beta))
 
 
+def oracle_pmf(params):
+    """The oracle's counts expanded by the tests' reference, one Poly per win turn."""
+    return {k: Poly(c) for k, c in ref_expand_counts(brute_force_hit_pmf(params)).items()}
+
+
+def assert_matches_analytic(params):
+    """The oracle's counts are the kernel's slots, and expand to the monomial pmf."""
+    dist = hit_time_distribution(params)
+    counts = brute_force_hit_pmf(params)
+    assert counts == {k: win_turn_slots(k, params) for k in dist.support()}, params
+    assert ref_expand_counts(counts) == {k: f.coeffs for k, f in dist.pmf.items()}, params
+
+
+def test_enumerated_counts_small_games():
+    assert brute_force_hit_pmf(nparams(3, 1, 1)) == {2: (1, [2, 1]), 3: (0, [1, 1])}
+    assert brute_force_hit_pmf(nparams(2, 2, 1)) == {1: (0, [1, 1])}
+    assert brute_force_hit_pmf(nparams(3, 1, 10)) == {1: (1, [1]), 2: (1, [1]), 3: (0, [1, 1])}
+
+
 def test_enumerated_pmfs_small_games():
-    assert brute_force_hit_pmf(nparams(3, 1, 1)) == {2: Poly((0, 2, -1)), 3: Poly((1, -2, 1))}
-    assert brute_force_hit_pmf(nparams(2, 2, 1)) == {1: ONE}
-    assert brute_force_hit_pmf(nparams(3, 1, 10)) == {
+    assert oracle_pmf(nparams(3, 1, 1)) == {2: Poly((0, 2, -1)), 3: Poly((1, -2, 1))}
+    assert oracle_pmf(nparams(2, 2, 1)) == {1: ONE}
+    assert oracle_pmf(nparams(3, 1, 10)) == {
         1: Poly((0, 1)),
         2: Poly((0, 1, -1)),
         3: Poly((1, -2, 1)),
@@ -46,16 +65,15 @@ def test_mass_conservation():
     for n in range(1, 9):
         for alpha in (1, 2, 3):
             for beta in (1, 2, 3):
-                pmf = brute_force_hit_pmf(nparams(n, alpha, beta))
-                assert reduce(ref_add, (f.coeffs for f in pmf.values()), ()) == (1,)
+                pmf = ref_expand_counts(brute_force_hit_pmf(nparams(n, alpha, beta)))
+                assert reduce(ref_add, pmf.values(), ()) == (1,)
 
 
 def test_matches_analytic_construction():
     for n in range(1, 7):
         for alpha in (1, 2, 3):
             for beta in (1, 2, 3):
-                params = nparams(n, alpha, beta)
-                assert brute_force_hit_pmf(params) == dict(hit_time_distribution(params).pmf)
+                assert_matches_analytic(nparams(n, alpha, beta))
 
 
 def test_matches_analytic_up_to_fourteen_turns():
@@ -65,7 +83,7 @@ def test_matches_analytic_up_to_fourteen_turns():
     for n in (11, 12, 13, 14):
         for beta in (1, 2, 3):
             params = nparams(n, 1, beta)
-            assert brute_force_hit_pmf(params) == dict(hit_time_distribution(params).pmf)
+            assert_matches_analytic(params)
             assert brute_force_advantage(params, p) == advantage_at(GameParams(n, 1, beta), p)
 
 
@@ -74,8 +92,7 @@ def test_matches_analytic_up_to_fourteen_turns():
     [(n, 1, beta) for n in (25, 40, 60, 100) for beta in (1, 2, 3)] + [(150, 2, 3)],
 )
 def test_matches_analytic_beyond_twenty_turns(n, alpha, beta):
-    params = nparams(n, alpha, beta)
-    assert brute_force_hit_pmf(params) == dict(hit_time_distribution(params).pmf)
+    assert_matches_analytic(nparams(n, alpha, beta))
 
 
 def reference_hit_pmf(params: NormalizedParams) -> dict[int, Poly]:
@@ -114,20 +131,20 @@ def reference_hit_pmf(params: NormalizedParams) -> dict[int, Poly]:
 def test_matches_the_score_reference_on_small_games():
     games = {nparams(n, a, b) for n in range(1, 41) for a in range(1, 6) for b in range(1, 6)}
     for params in games:
-        assert brute_force_hit_pmf(params) == reference_hit_pmf(params), params
+        assert oracle_pmf(params) == reference_hit_pmf(params), params
 
 
 @pytest.mark.parametrize("game", [(100, 1, 1), (150, 2, 3)])
 def test_matches_the_score_reference_beyond_a_hundred_turns(game):
     params = nparams(*game)
-    assert brute_force_hit_pmf(params) == reference_hit_pmf(params)
+    assert oracle_pmf(params) == reference_hit_pmf(params)
 
 
 @pytest.mark.parametrize("game", [(1000, 1, 1), (2000, 2, 3)])
 def test_matches_analytic_at_the_turn_cap(game):
     params = nparams(*game)
     assert -(-params.n // params.alpha) == oracle_module.MAX_TURNS
-    assert brute_force_hit_pmf(params) == dict(hit_time_distribution(params).pmf)
+    assert_matches_analytic(params)
 
 
 def test_oversized_enumeration_rejected(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from algebra import ref_add
+from algebra import ref_add, ref_expand_counts
 from coinrace.game import GameParams, NormalizedParams, ParameterError, normalize, turn_bounds
 from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly
@@ -156,7 +156,9 @@ def test_pmf_is_a_difference_of_binomial_tails():
     turns = 0
     for params in all_small_games(max_n=24, max_alpha=4, max_beta=4):
         dist = hit_time_distribution(params)
-        assert dict(dist.pmf) == brute_force_hit_pmf(params), params
+        counts = brute_force_hit_pmf(params)
+        assert counts == {k: win_turn_slots(k, params) for k in dist.support()}, params
+        assert ref_expand_counts(counts) == {k: f.coeffs for k, f in dist.pmf.items()}, params
         turns += len(dist.pmf)
     assert turns == 1736
 
