@@ -136,7 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--at-pstar", action="store_true", help="use the limiting optimal bias")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes to play the chunks on; the result does not depend on it")
 
     p = command("table", "regenerate a reference table from scratch", _cmd_table, {})
     p.add_argument("which", type=int, help="table number, 1-6")

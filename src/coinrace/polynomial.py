@@ -69,7 +69,9 @@ class Poly:
         return Poly(i * c for i, c in enumerate(self._coeffs) if i)
 
     def __repr__(self) -> str:
-        return f"Poly({self._coeffs!r})"
+        # through Decimal, as in render: a tuple's repr stops at the int digit cap (4300 digits)
+        body = ", ".join(str(Decimal(c)) for c in self._coeffs)
+        return f"Poly(({body}{',' if len(self._coeffs) == 1 else ''}))"
 
     def __str__(self) -> str:
         return render(self)

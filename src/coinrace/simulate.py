@@ -2,17 +2,17 @@
 
 Randomness contract: draws come from Python's Mersenne Twister (MT19937,
 period 2**19937 - 1) as ``_random.Random``, the C type that
-:class:`random.Random` extends, with the same integer seeding and draws.  Each
-worker owns a private generator seeded with a splitmix64 mix of the 64-bit run
-seed and the worker index, so a run is bit-for-bit reproducible for a fixed
-(seed, workers) pair and different seeds give statistically independent runs.
-Worker counts partition the trials; changing the worker count changes the
-stream layout, which preserves correctness but not bit-identity.  The process
-pool never exceeds ``os.cpu_count()``; W workers still mean min(W, trials)
-seed streams, so the cap changes where streams run, never what they draw.
+:class:`random.Random` extends, with the same integer seeding and draws.  The
+games are played in chunks of ``_CHUNK`` = 2**16 (chunk c holds games
+c * 2**16 onward, and the last chunk holds the rest), and each chunk draws from
+its own generator, seeded with a splitmix64 mix of the 64-bit run seed and the
+chunk index.  Workers only decide which process plays which chunk: with W =
+min(workers, chunks), worker w plays chunks w, w + W, w + 2W and so on.  So a
+run is bit-for-bit reproducible for a fixed seed, whatever the worker count and
+the pool size, and different seeds give statistically independent runs.  The
+process pool never exceeds ``os.cpu_count()``.
 
-Each stream plays its games bit-sliced, in chunks of ``_CHUNK`` = 2**16 games
-(the last chunk holds the rest): game g of a chunk is bit g of every mask and
+Each chunk is played bit-sliced: game g of a chunk is bit g of every mask and
 every draw, so one integer operation serves the whole chunk.  p is rounded to
 a float once, and a toss is a head iff a 53-bit uniform U is below
 a = ceil(p * 2**53), so each toss is a head with chance exactly a/2**53, the
@@ -30,7 +30,7 @@ games that reach n are tallied at +t for the first player and -t for the
 second, and leave the active mask.  The first player reaches n by turn
 m = ceil(n/alpha) even with all tails, so every chunk ends.  A chunk's state
 is its masks and two counters of at most log2(m) + 1 planes, and the tally is
-a dict keyed by the turns that occurred, so a stream's memory never grows
+a dict keyed by the turns that occurred, so a worker's memory never grows
 with the number of trials and grows only as log m with the target n.  Each
 plane and mask spans the whole chunk however few of its games are still on,
 so very few trials at a huge n cost more than a per-game loop would.
@@ -72,10 +72,10 @@ def simulate(config: SimConfig) -> SimResult:
     """Play ``config.trials`` independent games and tally first-player wins."""
     _validate(config)
     nparams = normalize(config.params)
-    shares = _split_trials(config.trials, config.workers)
+    workers = min(config.workers, -(-config.trials // _CHUNK))  # only workers with a chunk to play
     jobs = [
-        (nparams.n, nparams.alpha, nparams.beta, float(config.p), share, _stream_seed(config.seed, w))
-        for w, share in enumerate(shares)
+        (nparams.n, nparams.alpha, nparams.beta, float(config.p), config.trials, config.seed, w, workers)
+        for w in range(workers)
     ]
     histogram: Counter[int] = Counter()
     for tally in _run_jobs(jobs):
@@ -111,23 +111,16 @@ def _validate(config: SimConfig) -> None:
         raise ParameterError("seed must be an unsigned 64-bit integer")
 
 
-def _split_trials(trials: int, workers: int) -> list[int]:
-    """Trials per stream; only the first ``min(workers, trials)`` streams get any."""
-    streams = min(workers, trials)
-    base, extra = divmod(trials, streams)
-    return [base + (1 if w < extra else 0) for w in range(streams)]
-
-
-def _stream_seed(seed: int, worker: int) -> int:
-    # splitmix64 finalizer over seed advanced by the worker index
-    x = (seed + (worker + 1) * 0x9E3779B97F4A7C15) & _MASK64
+def _stream_seed(seed: int, chunk: int) -> int:
+    # splitmix64 finalizer over seed advanced by the chunk index: chunk c's generator seed
+    x = (seed + (chunk + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
 
 
 def _run_jobs(jobs: list[tuple]) -> list[dict[int, int]]:
-    processes = min(len(jobs), os.cpu_count() or 1)  # len(jobs) is min(workers, trials)
+    processes = min(len(jobs), os.cpu_count() or 1)  # len(jobs) is min(workers, chunks)
     if processes > 1:
         # imported here so that importing the package (and every CLI start) skips the pool
         from concurrent.futures import ProcessPoolExecutor
@@ -141,13 +134,13 @@ def _run_jobs(jobs: list[tuple]) -> list[dict[int, int]]:
 
 
 def _run_stream(job: tuple) -> dict[int, int]:
-    n, alpha, beta, p, trials, stream_seed = job
-    getrandbits = _random.Random(stream_seed).getrandbits
+    n, alpha, beta, p, trials, seed, worker, workers = job  # this worker plays every workers-th chunk
     a = ceil(p * (1 << 53))  # a toss is a head iff its 53-bit uniform U < a
     sure = a >> 53  # p = 1: every toss is a head, with no draw
     digits = "" if sure else f"{a:053b}".rstrip("0")  # a's bits, most significant first, to its last 1
     counts: dict[int, int] = {}
-    for start in range(0, trials, _CHUNK):
+    for start in range(worker * _CHUNK, trials, workers * _CHUNK):
+        getrandbits = _random.Random(_stream_seed(seed, start // _CHUNK)).getrandbits
         size = min(_CHUNK, trials - start)
         active = (1 << size) - 1  # game g of the chunk is bit g
         first: list[int] = []  # the first player's heads, one plane per binary digit

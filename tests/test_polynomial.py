@@ -163,6 +163,19 @@ def test_render_latex():
     assert render(Poly((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1385)), latex=True) == "1 - 1,385p^{11}"
 
 
+def test_repr_is_the_tuple_constructor_at_any_coefficient_length():
+    assert [repr(Poly(cs)) for cs in [(1, -2, 1), (5,), (), (-7, 0, 3)]] == [
+        "Poly((1, -2, 1))",
+        "Poly((5,))",
+        "Poly(())",
+        "Poly((-7, 0, 3))",
+    ]
+    # past the int digit cap, where repr of a tuple of ints raises ValueError
+    huge = 10**5000
+    assert repr(Poly((huge, 1))) == "Poly((1" + "0" * 5000 + ", 1))"
+    assert repr(Poly((-huge - 1,))) == "Poly((-1" + "0" * 4999 + "1,))"
+
+
 # Integer coefficient lists, small and multi-word, against a reference model
 # that implements each operation from its definition on plain tuples.
 int_coeffs = st.one_of(st.integers(-50, 50), st.integers(-(10**30), 10**30))

@@ -100,31 +100,14 @@ def test_turn_histogram_matches_exact_law():
         assert abs(result.turn_histogram.get(k, 0.0) - q) <= 5 * sigma + 1e-12
 
 
-def test_worker_count_preserves_statistics():
-    g = GameParams(5, 1, 1)
-    single = simulate(SimConfig(g, 0.3, 20000, seed=11, workers=1))
-    multi = simulate(SimConfig(g, 0.3, 20000, seed=11, workers=3))
-    assert abs(single.frequency - multi.frequency) <= 5 * single.stderr
-    # fixed worker count stays bit-identical
-    assert multi == simulate(SimConfig(g, 0.3, 20000, seed=11, workers=3))
-
-
-def test_streams_are_allocated_per_trial_not_per_worker():
-    # only min(workers, trials) streams get trials; a huge worker count must
-    # not build a list with one entry per worker
-    g = GameParams(5, 1, 1)
-    assert simulate(SimConfig(g, 0.3, 3, seed=9, workers=10**12)) == simulate(
-        SimConfig(g, 0.3, 3, seed=9, workers=3)
-    )
-
-
-def test_pool_is_capped_at_cpu_count_but_streams_are_kept(monkeypatch):
-    pools = []
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """Replace ProcessPoolExecutor with a pool that runs its jobs in this process; returns the sizes asked for."""
+    sizes: list[int] = []
 
     class InProcessPool:
-        # stands in for ProcessPoolExecutor: records the size, runs jobs here
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -135,8 +118,37 @@ def test_pool_is_capped_at_cpu_count_but_streams_are_kept(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    config = SimConfig(GameParams(5, 1, 1), 0.3, 4000, seed=5, workers=8)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+@pytest.mark.parametrize("trials", [1, 7, 8, 9, 17, 40])
+def test_worker_count_preserves_statistics(monkeypatch, pool_sizes, trials):
+    # each chunk draws from its own generator, so the worker count changes where a chunk is played, never
+    # what it draws: every count gives the same result, bit for bit
+    monkeypatch.setattr(simulate_module, "_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    config = SimConfig(GameParams(5, 1, 1), 0.3, trials, seed=11)
+    counts = [1, 2, 3, 8, 10**12]
+    results = [simulate(config._replace(workers=w)) for w in counts]
+    assert results == [results[0]] * len(counts)
+    chunks = -(-trials // SMALL_CHUNK)
+    assert pool_sizes == [min(w, chunks) for w in counts if min(w, chunks) > 1]  # one job per worker with a chunk
+
+
+def test_streams_are_allocated_per_trial_not_per_worker():
+    # only min(workers, chunks) workers get a job; a huge worker count must
+    # not build a list with one entry per worker
+    g = GameParams(5, 1, 1)
+    assert simulate(SimConfig(g, 0.3, 3, seed=9, workers=10**12)) == simulate(
+        SimConfig(g, 0.3, 3, seed=9, workers=3)
+    )
+
+
+def test_pool_is_capped_at_cpu_count_but_streams_are_kept(monkeypatch, pool_sizes):
+    pools = pool_sizes  # min(workers, chunks, cpu_count())
+    config = SimConfig(GameParams(5, 1, 1), 0.3, 4000, seed=5, workers=8)
+    monkeypatch.setattr(simulate_module, "_CHUNK", 500)  # eight chunks
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     capped = simulate(config)
     assert pools == [2]
@@ -148,7 +160,9 @@ def test_pool_is_capped_at_cpu_count_but_streams_are_kept(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     uncapped = simulate(config)
     assert pools == [2, 8]
-    assert capped == in_process == uncapped  # still eight seed streams
+    assert capped == in_process == uncapped  # still eight chunks, each with its own generator
+    assert simulate(config._replace(trials=1500)) == simulate(config._replace(trials=1500, workers=1))
+    assert pools == [2, 8, 3]  # three chunks: no more workers than chunks
 
 
 def test_simulate_at_limit_bias():
@@ -189,7 +203,8 @@ def test_an_exact_p_is_rounded_once_before_the_streams(monkeypatch):
         return run_jobs(js)
 
     monkeypatch.setattr(simulate_module, "_run_jobs", capture)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # both streams in this process
+    monkeypatch.setattr(simulate_module, "_CHUNK", 1000)  # two chunks, one for each worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # both workers in this process
     g = GameParams(10, 1, 1)
     exact = simulate(SimConfig(g, Fraction(1, 3), 2000, seed=5, workers=2))
     assert exact == simulate(SimConfig(g, 1 / 3, 2000, seed=5, workers=2))
@@ -199,17 +214,19 @@ def test_an_exact_p_is_rounded_once_before_the_streams(monkeypatch):
 def reference_run_stream(job: tuple) -> tuple[int, Counter]:
     """A game-by-game replay of `_run_stream`'s draws, kept as the reference for the bit-sliced loop.
 
-    It draws from `random.Random`, the documented generator, so the comparison also checks that
-    `_random.Random`, the C type `_run_stream` draws from, seeds and draws the same.
+    Worker w of W plays chunks w, w + W, ..., and chunk c draws from its own generator, seeded with
+    `_stream_seed(seed, c)`.  It draws from `random.Random`, the documented generator, so the comparison
+    also checks that `_random.Random`, the C type `_run_stream` draws from, seeds and draws the same.
     """
-    n, alpha, beta, p, trials, stream_seed = job
-    getrandbits = random.Random(stream_seed).getrandbits
+    n, alpha, beta, p, trials, seed, worker, workers = job
     a = math.ceil(Fraction(p) * 2**53)  # a toss is a head iff its 53-bit uniform is below a
     chunk = simulate_module._CHUNK
     wins = 0
     histogram: Counter[int] = Counter()
-    for start in range(0, trials, chunk):
-        for outcome in reference_play(getrandbits, min(chunk, trials - start), n, alpha, beta, a):
+    for c in range(worker, math.ceil(trials / chunk), workers):
+        getrandbits = random.Random(simulate_module._stream_seed(seed, c)).getrandbits
+        size = min(chunk, trials - c * chunk)
+        for outcome in reference_play(getrandbits, size, n, alpha, beta, a):
             if outcome > 0:
                 wins += 1
             histogram[outcome] += 1
@@ -275,10 +292,12 @@ def assert_stream_matches_reference(job: tuple) -> None:
 
 # 0.75 is a = 0b11 then 51 zeros, so its tosses stop after at most two planes
 EDGE_BIASES = [0.0, 1.0, 0.3, asymptotic_optimum(1, 1).bias, 1 - 2**-53, 2**-60, 0.75]
-# unmixed stream seeds: one- and two-word init_by_array keys, one of them with a zero low word
+# unmixed generator seeds: one- and two-word init_by_array keys, one of them with a zero low word
 RAW_STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+RUN_SEEDS = [0, 12345, 2**64 - 1]
 SMALL_CHUNK = 8
 CHUNK_EDGES = [1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1]  # trials, with _CHUNK = SMALL_CHUNK
+WORKER_SLICES = [(w, workers) for workers in (1, 2, 3) for w in range(workers)]  # (worker, workers)
 
 
 def turn_bound_edges(alpha: int, beta: int) -> set[int]:
@@ -300,28 +319,29 @@ def turn_bound_edges(alpha: int, beta: int) -> set[int]:
     ],
 )
 def test_fused_stream_matches_per_game_reference(monkeypatch, alpha, beta, n):
-    mixed_seeds = [simulate_module._stream_seed(seed, 0) for seed in (0, 12345, 2**64 - 1)]
     for p in EDGE_BIASES:
-        jobs = [(n, alpha, beta, p, 300, stream_seed) for stream_seed in mixed_seeds]
-        jobs += [(n, alpha, beta, p, 100, stream_seed) for stream_seed in RAW_STREAM_SEEDS]
-        for job in jobs:
-            assert_stream_matches_reference(job)
+        for seed in RUN_SEEDS:
+            assert_stream_matches_reference((n, alpha, beta, p, 300, seed, 0, 1))
+        with mock.patch.object(simulate_module, "_stream_seed", lambda seed, chunk: seed):  # the key, unmixed
+            for seed in RAW_STREAM_SEEDS:
+                assert_stream_matches_reference((n, alpha, beta, p, 100, seed, 0, 1))
     monkeypatch.setattr(simulate_module, "_CHUNK", SMALL_CHUNK)
     for p in EDGE_BIASES:
         for trials in CHUNK_EDGES:
-            for stream_seed in mixed_seeds:
-                assert_stream_matches_reference((n, alpha, beta, p, trials, stream_seed))
+            for seed in RUN_SEEDS:
+                for w, workers in WORKER_SLICES:
+                    assert_stream_matches_reference((n, alpha, beta, p, trials, seed, w, workers))
 
 
 def test_fused_stream_matches_reference_past_one_full_chunk():
     p = asymptotic_optimum(1, 1).bias
-    assert_stream_matches_reference((3, 1, 1, p, simulate_module._CHUNK + 1, simulate_module._stream_seed(3, 0)))
+    assert_stream_matches_reference((3, 1, 1, p, simulate_module._CHUNK + 1, 3, 0, 1))
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
 def test_fused_stream_matches_reference_on_a_long_game(seed):
     # games of 550 to 730 turns, whose winners' head counters reach 6 planes
-    assert_stream_matches_reference((1000, 1, 10, 0.05, 100, simulate_module._stream_seed(seed, 0)))
+    assert_stream_matches_reference((1000, 1, 10, 0.05, 100, seed, 0, 1))
 
 
 # no shrinking: a failing example shrinks by replaying whole streams, which took over 15 minutes
@@ -334,10 +354,11 @@ def test_fused_stream_matches_reference_on_a_long_game(seed):
     seed=st.integers(0, 2**64 - 1),
     trials=st.integers(1, 50),
     chunk=st.integers(1, 64),
+    worker_slice=st.sampled_from(WORKER_SLICES),
 )
-def test_fused_stream_matches_reference_on_random_games(n, alpha, beta, p, seed, trials, chunk):
+def test_fused_stream_matches_reference_on_random_games(n, alpha, beta, p, seed, trials, chunk, worker_slice):
     with mock.patch.object(simulate_module, "_CHUNK", chunk):
-        assert_stream_matches_reference((n, alpha, beta, p, trials, seed))
+        assert_stream_matches_reference((n, alpha, beta, p, trials, seed, *worker_slice))
 
 
 def scripted_planes(monkeypatch, planes: list[int]) -> list[int]:
@@ -367,7 +388,7 @@ def scripted_reference(planes: list[int]):
 def test_u_equal_to_a_is_a_tail_and_a_toss_draws_no_plane_past_the_last_one_of_a(monkeypatch, p, digits):
     # (2, 1, 1): three tails, each with U == a, end the game on turn 2
     sizes = scripted_planes(monkeypatch, digits * 3)
-    assert simulate_module._run_stream((2, 1, 1, p, 1, 0)) == {2: 1}
+    assert simulate_module._run_stream((2, 1, 1, p, 1, 0, 0, 1)) == {2: 1}
     assert sizes == [1] * (3 * len(digits))
     a = math.ceil(Fraction(p) * 2**53)
     assert reference_play(scripted_reference(digits * 3), 1, 2, 1, 1, a) == [2]
@@ -377,7 +398,7 @@ def test_u_equal_to_a_is_a_tail_and_a_toss_draws_no_plane_past_the_last_one_of_a
 def test_u_below_a_is_a_head(monkeypatch, prefix):
     # 0.75 is a = 0b11 then zeros: a U that starts 0 or 10 is a head
     sizes = scripted_planes(monkeypatch, prefix)
-    assert simulate_module._run_stream((2, 1, 1, 0.75, 1, 0)) == {1: 1}  # one head reaches 2 on turn 1
+    assert simulate_module._run_stream((2, 1, 1, 0.75, 1, 0, 0, 1)) == {1: 1}  # one head reaches 2 on turn 1
     assert sizes == [1] * len(prefix)
     assert reference_play(scripted_reference(prefix), 1, 2, 1, 1, math.ceil(Fraction(0.75) * 2**53)) == [1]
 
@@ -394,7 +415,7 @@ def test_a_toss_is_a_head_exactly_where_u_is_below_a(monkeypatch, p, size):
     script = planes + [(1 << size) - 1] * 2 * 53  # later tosses: what is left, then all ones (tails)
     scripted_planes(monkeypatch, script)
     # (2, 1, 1): a head on the first toss reaches 2 on turn 1
-    tally = simulate_module._run_stream((2, 1, 1, p, size, 0))
+    tally = simulate_module._run_stream((2, 1, 1, p, size, 0, 0, 1))
     assert tally.get(1, 0) == sum(u < a for u in us)
     assert tally == Counter(reference_play(scripted_reference(script), size, 2, 1, 1, a))
 
@@ -403,7 +424,7 @@ def test_a_toss_is_a_head_exactly_where_u_is_below_a(monkeypatch, p, size):
 def test_p_0_and_p_1_make_no_draw(monkeypatch, p, turn):
     sizes = scripted_planes(monkeypatch, [])
     monkeypatch.setattr(simulate_module, "_CHUNK", 2)
-    assert simulate_module._run_stream((5, 1, 1, p, 5, 0)) == {turn: 5}  # all tails, or all heads
+    assert simulate_module._run_stream((5, 1, 1, p, 5, 0, 0, 1)) == {turn: 5}  # all tails, or all heads
     assert sizes == []
 
 
@@ -415,7 +436,7 @@ def test_the_planes_of_a_toss_stop_once_every_active_game_is_decided(monkeypatch
         0b11,  # turn 2, first player, game 0: a tail, and 1 + 1 reaches 2
     ]
     sizes = scripted_planes(monkeypatch, planes)
-    assert simulate_module._run_stream((2, 1, 1, 1 / 3, 2, 0)) == {1: 1, 2: 1}
+    assert simulate_module._run_stream((2, 1, 1, 1 / 3, 2, 0, 0, 1)) == {1: 1, 2: 1}
     assert sizes == [2] * len(planes)
     a = math.ceil(Fraction(1 / 3) * 2**53)
     assert reference_play(scripted_reference(planes), 2, 2, 1, 1, a) == [2, 1]
