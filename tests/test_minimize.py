@@ -1,5 +1,6 @@
 """Advantage minimization and the limiting optimal bias."""
 
+import hashlib
 import math
 import random
 import time
@@ -1017,3 +1018,24 @@ def test_minimized_table_rejects_tol_before_building(monkeypatch, tol):
     monkeypatch.setattr(tables, "advantage_polynomial", never)
     with pytest.raises(ParameterError):
         tables.minimized_table(tol)
+
+
+def hex_fraction(x):
+    # decimal repr stops at the int digit cap, which a value_exact at 1e-100 passes
+    return f"{x.numerator:x}/{x.denominator:x}"
+
+
+def test_every_minimization_result_keeps_its_digest():
+    # every game with n <= 60 and alpha, beta <= 4 at 1e-9 (51 of their
+    # minimizers lie above 1/2), then six large games at 1e-100; recorded
+    # before the minimizer read only the (p, 1-p) form
+    cases = [((n, a, b), 1e-9) for n in range(1, 61) for a in range(1, 5) for b in range(1, 5)]
+    deep = [(99, 1, 1), (100, 1, 1), (150, 2, 3), (90, 1, 2), (250, 4, 3), (175, 3, 2)]
+    cases += [(game, 1e-100) for game in deep]
+    digest = hashlib.sha256()
+    for game, tol in cases:
+        r = minimize_advantage(GameParams(*game), tol)
+        bracket = "None" if r.bracket is None else ",".join(map(hex_fraction, r.bracket))
+        fields = [r.degenerate, repr(r.bias), repr(r.value), hex_fraction(r.value_exact), bracket, repr(r.tol), r.tie]
+        digest.update("|".join(map(str, fields)).encode())
+    assert digest.hexdigest() == "acdfb408540fb1a08b96828e8a52e88e6f158140ee4edeaf85b8bed07549b191"
