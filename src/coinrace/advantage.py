@@ -33,25 +33,30 @@ The win-turn masses must sum to 1.  A second Horner sum, in p + q, starts at
 Both of those packed forms have slots in [0, 2^w), so the sum is the integer
 0 exactly when they are equal slot by slot.  It costs one add per turn and
 checks every turn's slots.  The (p, q) coefficients of 2I must be even: they
-are checked, halved once and converted to monomials once.  Both basis changes
-are integer and unit triangular, so every monomial coefficient of 2I is even
-exactly when every (p, q) coefficient is.
+are checked and halved once.  ``advantage_polynomial`` converts them to
+monomials once; the minimizer and the evaluations at one bias read them as
+they are.  Both basis changes are integer and unit triangular, so every
+monomial coefficient of 2I is even exactly when every (p, q) coefficient is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cache
+from itertools import accumulate
+from math import comb
+from operator import neg
+from typing import NamedTuple, Optional, Sequence
 
 from .game import GameParams, NormalizedParams, ParameterError, TurnBounds, normalize, parse_rational, turn_bounds
-from .polynomial import ONE, Poly, from_homogeneous
+from .polynomial import Poly, from_homogeneous
 from .stopping import ConsistencyError, win_turn_slots
 
 
 class AdvantageResult(NamedTuple):
     params: NormalizedParams
     bounds: TurnBounds
-    poly: Poly
+    poly: Optional[Poly]  # None from _advantage, which builds only the (p, 1-p) form
     degenerate: bool  # True iff the advantage is identically 1 (l == m)
     # coefficients of p^j (1-p)^(2m-j) in the advantage, j = 0..2m
     homogeneous: tuple[int, ...]
@@ -87,13 +92,22 @@ def tie_probability(params: GameParams) -> Poly:
 
 
 def advantage_polynomial(params: GameParams) -> AdvantageResult:
-    """Assemble the advantage polynomial and enforce its structural laws.
+    """Assemble the advantage polynomial: ``_advantage``'s checked (p, 1-p) form, converted to monomials once."""
+    nparams, bounds, _, degenerate, homogeneous = _advantage(params)
+    return AdvantageResult(nparams, bounds, Poly(from_homogeneous(homogeneous)), degenerate, homogeneous)
+
+
+def _advantage(params: GameParams) -> AdvantageResult:
+    """The advantage in the (p, 1-p) basis alone, its structural laws enforced; ``poly`` is None.
 
     The degenerate case is detected twice on purpose: structurally (l == m,
-    every game ties in hit-time) and from the assembled polynomial.  Any
-    disagreement, a wrong degree, or a non-integer coefficient indicates a
-    construction bug and aborts.  Parity is checked on the (p, 1-p)
-    coefficients of 2I, which are halved once into ``homogeneous``.
+    every game ties in hit-time) and from the coefficients, which must be
+    C(D, j), those of (p + (1-p))^D = 1, D = 2m.  Otherwise the degree must be
+    D - 2.  Any disagreement, a wrong degree, or an odd (p, 1-p) coefficient
+    of 2I indicates a construction bug and aborts.  The monomial coefficient
+    of p^(D-r) is (-1)^r sum_j z_j C(D-j, r), z_j = (-1)^(D-j) c_j = (-1)^j c_j
+    as D is even: for r = 0, 1, 2, the last running sum P_D of z, the sum of
+    P_0..P_(D-1), and the sum of their running sums up to D - 2.
     """
     nparams = normalize(params)
     bounds = turn_bounds(nparams)
@@ -105,19 +119,46 @@ def advantage_polynomial(params: GameParams) -> AdvantageResult:
                 f"advantage has a non-integer coefficient at p^{j} (1-p)^{2 * bounds.m - j} for {nparams}"
             )
     homogeneous = tuple(c >> 1 for c in doubled)
-    poly = Poly(from_homogeneous(homogeneous))
+    d = 2 * bounds.m
     if degenerate:
-        if poly != ONE:
-            raise ConsistencyError(
-                f"single-turn game (l=m={bounds.l}) must have advantage 1, got {poly}"
-            )
+        if homogeneous != tuple(comb(d, j) for j in range(d + 1)):
+            raise ConsistencyError(f"single-turn game (l=m={bounds.l}) must have advantage 1")
     else:
-        expected = 2 * bounds.m - 2
-        if poly.degree != expected:
-            raise ConsistencyError(
-                f"advantage degree {poly.degree} != 2m-2 = {expected} for {nparams}"
-            )
-    return AdvantageResult(nparams, bounds, poly, degenerate, homogeneous)
+        z = list(homogeneous)
+        z[1::2] = map(neg, z[1::2])
+        running = list(accumulate(z))
+        if running[d] or sum(running[:d]) or not sum(accumulate(running[: d - 1])):
+            raise ConsistencyError(f"advantage degree is not 2m-2 = {d - 2} for {nparams}")
+    return AdvantageResult(nparams, bounds, None, degenerate, homogeneous)
+
+
+def _value_at(c: Sequence[int], x: Fraction) -> Fraction:
+    """Exact value of sum_j c_j p^j (1-p)^(D-j) at p = x in [0, 1], normalized once."""
+    u, v = x.numerator, x.denominator
+    return Fraction(_form(c, u, v - u), v ** (len(c) - 1))
+
+
+def _form(c: Sequence[int], u: int, w: int) -> int:
+    """The integer sum_j c_j u^j w^(D-j), D = len(c) - 1: the form at p = u / (u + w) times (u + w)^D.
+
+    Each half of the coefficients is summed on its own and the two are joined
+    by a power of w and one of u, down to Horner sums of at most 16 terms.
+    The halves of a level differ in length by at most one, so each power is
+    taken once, and the products at the top are balanced.
+    """
+    power = cache(pow)
+
+    def part(lo: int, hi: int) -> int:  # sum_(j=lo..hi-1) c_j u^(j-lo) w^(hi-1-j)
+        if hi - lo <= 16:
+            acc, scale = c[hi - 1], 1
+            for j in range(hi - 2, lo - 1, -1):
+                scale *= w
+                acc = acc * u + c[j] * scale
+            return acc
+        mid = (lo + hi) // 2
+        return part(lo, mid) * power(w, hi - mid) + part(mid, hi) * power(u, mid - lo)
+
+    return part(0, len(c))
 
 
 def advantage_at(params: GameParams, p: int | Fraction) -> Fraction:
@@ -125,4 +166,4 @@ def advantage_at(params: GameParams, p: int | Fraction) -> Fraction:
     p = parse_rational(p)
     if not 0 <= p <= 1:
         raise ParameterError("p must be in [0, 1]")
-    return advantage_polynomial(params).poly(p)
+    return _value_at(_advantage(params).homogeneous, p)

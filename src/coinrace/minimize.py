@@ -32,7 +32,10 @@ precision only where an error bound certifies it, and in integers otherwise.
    exact value of I seen so far holds no minimizer and no tie, so it is
    dropped with its subtree, and of two children the one with the smaller
    bound goes first.  Under I = 0 no bound exceeds 0, so the same search
-   keeps every root;
+   keeps every root.  Every value and bound is an integer at one dyadic
+   scale, over the denominator lcm(1, ..., D) 2^((depth+1) D): I at
+   u/2^v is sum_j c_j u^j (2^v - u)^(D-j) over 2^(v D), and no point is
+   finer than 2^-(depth+1), so values are shifted, never divided;
 3. shrink each bracket around one simple root to the requested width by
    quadratic interval refinement at dyadic rationals (Abbott, ACM Commun.
    Comput. Algebra 48(1), 2014; Kerber & Sagraloff, ISSAC 2011): a secant
@@ -40,26 +43,31 @@ precision only where an error bound certifies it, and in integers otherwise.
    root, and halving takes over when it misses, so a root costs O(log depth)
    evaluations.  Each reads an exact sign from a fixed-point Horner sum
    whose error bound certifies it, at 64, 128, ... fraction bits, or from
-   the exact integer value where none does.  Nodes are integer pairs
-   (a, s) for (a/2^s, (a+1)/2^s), and the tolerance is read once as the
-   depth s at which they stop.
+   the exact integer value where none does.  The sum is of I'/(1-p)^d in
+   u/w <= 1 below 1/2, w = 2^v - u, and of I'/p^d in w/u above it, where
+   the (p, 1-p) coefficients are read in reverse; the secant is handed the
+   certified value times max(u, w)^d, back at the scale of I' itself.
+   Nodes are integer pairs (a, s) for (a/2^s, (a+1)/2^s), and the tolerance
+   is read once as the depth s at which they stop.
 
 Each bracket's candidate value, I at its midpoint, is computed as soon as the
 bracket is refined, so that it can drop nodes at once.  Candidate values are
-exact rationals from the same integer evaluation, compared with ties broken
-toward smaller p, and only the final reported minimizer is rounded to a float.
+integers over the search's one denominator, compared with ties broken toward
+smaller p.  Fractions are built only for the returned result, and only the
+reported minimizer and its value are rounded to floats.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import add, ne
 from typing import NamedTuple, Optional, Sequence
 
-from .advantage import AdvantageResult, advantage_polynomial
+from .advantage import AdvantageResult, _advantage, _form
 from .game import GameParams, ParameterError, parse_rational
 from .stopping import ConsistencyError
 
@@ -76,9 +84,20 @@ class MinimizationResult(NamedTuple):
     tol: float
     tie: bool = False  # another critical point attained exactly the same value
 
+    def __repr__(self) -> str:
+        # a Fraction's repr stops at the int digit cap (4300 digits), so its parts go through Decimal
+        def text(x) -> str:
+            if isinstance(x, Fraction):
+                return f"Fraction({Decimal(x.numerator)}, {Decimal(x.denominator)})"
+            return f"({', '.join(map(text, x))})" if isinstance(x, tuple) else repr(x)
 
-# (I's value, the point, the bracket around it, or None at 0 and 1)
-_Candidate = tuple[Fraction, Fraction, Optional[tuple[Fraction, Fraction]]]
+        return f"MinimizationResult({', '.join(f'{k}={text(v)}' for k, v in zip(self._fields, self))})"
+
+
+# (I's value, the point, the bracket around it, or None at 0 and 1), as integers:
+# the value over _isolate's common denominator, the point in units of
+# 2^-(depth+1) and the bracket's ends in units of 2^-depth
+_Candidate = tuple[int, int, Optional[tuple[int, int]]]
 
 
 class AsymptoticOptimum(NamedTuple):
@@ -110,7 +129,7 @@ def minimize_advantage(params: GameParams, tol: float = 1e-9) -> MinimizationRes
     minimum of 0.617.
     """
     _check_tol(tol)
-    return _minimize(advantage_polynomial(params), tol)
+    return _minimize(_advantage(params), tol)
 
 
 def _check_tol(tol: float) -> None:
@@ -125,7 +144,7 @@ def _depth(tol: float | Fraction) -> int:
 
 
 def _minimize(adv: AdvantageResult, tol: float) -> MinimizationResult:
-    """``minimize_advantage`` on an already built polynomial; the caller checks ``tol``."""
+    """``minimize_advantage`` on an already built advantage's (p, 1-p) form; the caller checks ``tol``."""
     if adv.degenerate:
         return MinimizationResult(
             degenerate=True,
@@ -139,7 +158,7 @@ def _minimize(adv: AdvantageResult, tol: float) -> MinimizationResult:
     c = adv.homogeneous
     d = len(c) - 1
     slopes = [(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)]
-    candidates = _isolate(list(adv.poly.derivative().coeffs), slopes, tol, adv.poly.coeffs)
+    candidates, denominator = _isolate(slopes, tol, c)
     best_value, best_point, best_bracket = min(candidates, key=lambda c: (c[0], c[1]))
     if best_bracket is None:
         raise ConsistencyError(
@@ -147,12 +166,13 @@ def _minimize(adv: AdvantageResult, tol: float) -> MinimizationResult:
             "a non-degenerate advantage must dip below 1 inside (0, 1)"
         )
     tie = sum(1 for value, _, _ in candidates if value == best_value) > 1
+    depth = _depth(tol)
     return MinimizationResult(
         degenerate=False,
-        bias=float(best_point),
-        value=float(best_value),
-        value_exact=best_value,
-        bracket=best_bracket,
+        bias=best_point / (2 << depth),
+        value=best_value / denominator,
+        value_exact=Fraction(best_value, denominator),
+        bracket=(Fraction(best_bracket[0], 1 << depth), Fraction(best_bracket[1], 1 << depth)),
         tol=tol,
         tie=tie,
     )
@@ -211,53 +231,59 @@ def advantage_at_asymptotic(params: GameParams) -> float:
     """Exact advantage evaluated at the limiting optimal bias.
 
     A good stand-in for the true finite-game minimum once the target is
-    moderately large.  The float bias converts exactly to a rational, so the
-    polynomial evaluation itself stays exact.
+    moderately large.  The float bias is a dyadic rational u / v, so the
+    evaluation itself stays exact, and it is rounded once.
     """
-    return _at_limit_bias(advantage_polynomial(params))
+    return _at_limit_bias(_advantage(params))
 
 
 def _at_limit_bias(adv: AdvantageResult) -> float:
-    """``advantage_at_asymptotic`` on an already built polynomial."""
+    """``advantage_at_asymptotic`` on an already built advantage's (p, 1-p) form."""
     _, bias = _limit_bias(adv.params.alpha, adv.params.beta)
-    return float(_value_at(adv.poly.coeffs, Fraction(bias)))
+    u, v = bias.as_integer_ratio()
+    return _form(adv.homogeneous, u, v - u) / v ** (len(adv.homogeneous) - 1)
 
 
 # ---------------------------------------------------------------------------
 # Root isolation of an integer polynomial on (0, 1), in the (p, 1-p) basis.
 #
-# A work item (x, err, a, s, zl, zr, low, at_lo, scale) holds the Bernstein
+# A work item (x, err, a, s, zl, zr, low, at_lo, t) holds the Bernstein
 # coefficients of I' on (a/2^s, (a+1)/2^s), rescaled to (0, 1): they are
 # (x_j + eps_j) / scale with 0 <= eps_j < err, exact when err = 0.  The first
 # zl and last zr of them are exact zeros, its roots at the node's ends, and
 # every sign is read between them: x[zl] and x[-1-zr] have the signs just
 # inside the node's ends, which bisection starts from.  An exact node counts
 # its zeros, and a truncated child inherits them from its parent's uncut side.
-# low is a lower bound of I on the node and at_lo is I at its left end; see
-# _lower_bound.
+# low is a lower bound of I on the node and at_lo is I at its left end, both
+# integers over the search's common denominator, and t is the shift that
+# puts the node's sums of x on it; see _lower_bound.
 # ---------------------------------------------------------------------------
 
 _BITS = 96  # a split's inputs are floor-truncated to this many bits
 
 
 def _isolate(
-    monomial: list[int], homogeneous: list[int], tol: float | Fraction,
-    integral: Sequence[int], exact: bool = False,
-) -> list[_Candidate]:
-    """Candidates for the least value of I on [0, 1], from brackets of the roots of I'.
+    homogeneous: list[int], tol: float | Fraction, integral: Sequence[int], exact: bool = False
+) -> tuple[list[_Candidate], int]:
+    """Candidates for the least value of I on [0, 1], from brackets of the roots of I', and their denominator.
 
-    I' is given in both bases; ``homogeneous`` may have any degree at least
-    that of ``monomial``, and ``integral`` holds I's monomial coefficients.
+    I' and I are given in the (p, 1-p) basis: ``homogeneous`` of degree
+    d - 1 and ``integral`` of degree D.  Every value of I is an integer over
+    one denominator, lcm(1, ..., d) 2^((depth+1) max(D, d)), which is
+    returned with the candidates: I at a point u/2^v is the integer
+    sum_j c_j u^j (2^v - u)^(D-j) over 2^(v D), and v <= depth + 1 at every
+    point valued.  Values, bounds and ties are then compared as integers.
     The candidates are (I(0), 0, None), (I(1), 1, None) and, for each bracket
-    of width <= tol, (I at its midpoint, the midpoint, the bracket).  A node
-    with one sign variation holds exactly one simple root, which is bisected
-    to width tol.  A node that still shows two or more variations at width
-    <= tol is reported whole: by the two-circle theorem (Krandick & Mehlhorn,
-    JSC 2006) at least two roots, counted with multiplicity, lie near it -- a
-    multiple root, real roots closer than tol, or a complex pair within about
-    tol of the interval.  A root at a split midpoint is reported as (mid, mid)
-    by the node whose left end it is.  ``tol`` is read once, as the integer
-    depth max(0, ceil(log2(1/tol))) at which nodes and bisection stop.
+    of width <= tol, (I at its midpoint, the midpoint, the bracket), in the
+    units of ``_Candidate``.  A node with one sign variation holds exactly
+    one simple root, which is bisected to width tol.  A node that still shows
+    two or more variations at width <= tol is reported whole: by the
+    two-circle theorem (Krandick & Mehlhorn, JSC 2006) at least two roots,
+    counted with multiplicity, lie near it -- a multiple root, real roots
+    closer than tol, or a complex pair within about tol of the interval.  A
+    root at a split midpoint is reported as (mid, mid) by the node whose left
+    end it is.  ``tol`` is read once, as the integer depth
+    max(0, ceil(log2(1/tol))) at which nodes and bisection stop.
 
     The search is branch and bound.  A node whose lower bound on I
     (``_lower_bound``) exceeds U, the least exact value of I seen so far at
@@ -275,79 +301,88 @@ def _isolate(
     Every node of that rerun is exact, so it never reruns, and every decision,
     and so every bracket, is the exact one.
     """
-    candidates: list[_Candidate] = [
-        (_value_at(integral, Fraction(p)), Fraction(p), None) for p in (0, 1)
-    ]
-    b, scale = _bernstein(homogeneous)
-    if not any(b):
-        return candidates
     depth = _depth(tol)
+    b, scale = _bernstein(homogeneous)
     n = len(b) - 1
+    degree = len(integral) - 1
+    top = (depth + 1) * max(degree, n + 1)
+    unit = scale * (n + 1)  # lcm(1, ..., n + 1)
+
+    def value(u: int, v: int) -> int:
+        return _dyadic_value(integral, u, v) * unit << top - v * degree
+
+    candidates: list[_Candidate] = [  # I(0) = c_0 and I(1) = c_D
+        (integral[0] * unit << top, 0, None),
+        (integral[-1] * unit << top, 2 << depth, None),
+    ]
+    if not any(b):
+        return candidates, unit << top
     at_lo = candidates[0][0]
     best = min(at_lo, candidates[1][0])
 
-    def found(lo: Fraction, hi: Fraction) -> None:
+    def found(lo: int, hi: int) -> None:
         nonlocal best
-        point = (lo + hi) / 2
-        value = _value_at(integral, point)
-        candidates.append((value, point, (lo, hi)))
-        best = min(best, value)
+        point = lo + hi
+        z = (point & -point).bit_length() - 1
+        at = value(point >> z, depth + 1 - z)
+        candidates.append((at, point, (lo, hi)))
+        best = min(best, at)
 
-    stack = [(b, 0, 0, 0, 0, 0, _lower_bound(b, 0, at_lo, scale), at_lo, scale)]
+    stack = [(b, 0, 0, 0, 0, 0, _lower_bound(b, top, at_lo), at_lo, top)]
     while stack:
-        x, err, a, s, zl, zr, low, at_lo, scale = stack.pop()
+        x, err, a, s, zl, zr, low, at_lo, t = stack.pop()
         if low > best:
             continue
         if not _certain(x[zl : len(x) - zr], err):
-            return _isolate(monomial, homogeneous, tol, integral, True)
+            return _isolate(homogeneous, tol, integral, True)
         if not err:
             zl = next(i for i, v in enumerate(x) if v)
             zr = next(i for i, v in enumerate(reversed(x)) if v)
             if zl and a & 1:  # a root at the midpoint this node was cut at
-                mid = Fraction(a, 1 << s)
-                found(mid, mid)
+                found(a << depth - s, a << depth - s)
         v = _sign_variations(x)
         if v == 0:
             continue
         if v == 1:
-            found(*_bisect(monomial, x[zl : len(x) - zr], a, s, depth))
+            found(*_bisect(homogeneous, x[zl : len(x) - zr], a, s, depth))
             continue
         if s >= depth:
-            found(Fraction(a, 1 << s), Fraction(a + 1, 1 << s))
+            found(a << depth - s, a + 1 << depth - s)
             continue
         x, err, k = (x, err, 0) if exact else _truncate(x, err)
         left, right = _split(x)
         err <<= n
-        scale *= Fraction(1 << n, 1 << k)
-        at_mid = _value_at(integral, Fraction(2 * a + 1, 2 << s))
+        t += k - n - 1
+        at_mid = value(2 * a + 1, s + 1)
         best = min(best, at_mid)
-        left_low = _lower_bound(left, s + 1, at_lo, scale)
-        right_low = _lower_bound(right, s + 1, at_mid, scale)
+        left_low = _lower_bound(left, t, at_lo)
+        right_low = _lower_bound(right, t, at_mid)
         children = [
-            (left, err, 2 * a, s + 1, zl, 0, left_low, at_lo, scale),
-            (right, err, 2 * a + 1, s + 1, 0, zr, right_low, at_mid, scale),
+            (left, err, 2 * a, s + 1, zl, 0, left_low, at_lo, t),
+            (right, err, 2 * a + 1, s + 1, 0, zr, right_low, at_mid, t),
         ]
         if left_low < right_low:  # the smaller bound pops first
             children.reverse()
         stack += children
-    return candidates
+    return candidates, unit << top
 
 
-def _lower_bound(x: list[int], s: int, at_lo: Fraction, scale: Fraction) -> Fraction:
-    """A lower bound of I on a node of width 2^-s, from I at its left end and I' on it.
+def _lower_bound(x: list[int], t: int, at_lo: int) -> int:
+    """A lower bound of I on a node, from I at its left end and I' on it, over ``_isolate``'s denominator.
 
-    There I' is sum_j x_j B_j(t) / scale, with t running over (0, 1) across
-    the node, B_j the Bernstein basis of degree D - 1, D = len(x), and each
-    x_j at most its true value.  ``scale`` is the root's factor from
-    ``_bernstein`` times 2^(D-1) for each split and 2^-k for each truncation
-    by 2^k above the node, so with exact splits it is the root's times
-    2^((D-1) s).  Integrating gives I's Bernstein coefficients of degree D on
-    the node, I(lo) + (x_0 + ... + x_(i-1)) / (2^s D scale) for i = 0, ..., D,
-    and I is nowhere below the least of them (Lane & Riesenfeld, BIT 21,
-    1981).
+    On a node of width 2^-s, I' is sum_j x_j B_j(y) / scale, with y running
+    over (0, 1) across the node, B_j the Bernstein basis of degree d - 1,
+    d = len(x), and each x_j at most its true value.  ``scale`` is the root's
+    factor L from ``_bernstein`` times 2^(d-1) for each split and 2^-k for
+    each truncation by 2^k above the node.  Integrating gives I's Bernstein
+    coefficients of degree d on the node, I(lo) + (x_0 + ... + x_(i-1)) /
+    (2^s d scale) for i = 0, ..., d, and I is nowhere below the least of
+    them (Lane & Riesenfeld, BIT 21, 1981).  Over the denominator
+    L d 2^top, that sum is shifted by t = top - s - log2(scale / L): top at
+    the root, then d - k less for each split that truncated by 2^k.  t stays
+    positive, since top >= (depth + 1) d and s <= depth.
     """
-    low = min(0, min(accumulate(x)))
-    return at_lo + Fraction(low, scale * (len(x) << s)) if low else at_lo
+    return at_lo + (min(0, min(accumulate(x))) << t)
 
 
 def _bernstein(c: list[int]) -> tuple[list[int], int]:
@@ -397,10 +432,8 @@ def _split(b: list[int]) -> tuple[list[int], list[int]]:
     return left, right
 
 
-def _bisect(
-    monomial: list[int], x: list[int], a: int, s: int, depth: int
-) -> tuple[Fraction, Fraction]:
-    """Shrink the node (a/2^s, (a+1)/2^s), Bernstein x, around its one simple root.
+def _bisect(c: Sequence[int], x: list[int], a: int, s: int, depth: int) -> tuple[int, int]:
+    """Shrink the node (a/2^s, (a+1)/2^s), Bernstein x, around its one simple root of c.
 
     Quadratic interval refinement (Abbott, ACM CCA 48(1), 2014): bounds
     lo < root < hi in units of 2^-depth start at the node's ends, with the
@@ -410,11 +443,11 @@ def _bisect(
     and falls back towards 2 when not.  At N = 2, or while a bound's value is
     unknown, the gap is halved.  Each point inside the bounds is evaluated
     once, at its lowest dyadic level, which the power-of-two window keeps
-    coarse, by ``_signed_value``: low precision, but an exact sign.  The
-    secant reads both bounds' values at the finer of their two scales.  A
-    zero is the root, and any other sign moves that bound.  Every decision
-    is an exact sign, so the result is the root's cell at depth, or the root
-    itself.
+    coarse, by ``_signed_value`` on the (p, 1-p) coefficients c: low
+    precision, but an exact sign.  The secant reads both bounds' values at
+    the finer of their two scales.  A zero is the root, and any other sign
+    moves that bound.  Every decision is an exact sign, so the result, in
+    units of 2^-depth, is the root's cell at depth, or the root itself.
     """
     if x[0] * x[-1] >= 0:
         raise ConsistencyError("isolated bracket must straddle a sign change")
@@ -428,17 +461,16 @@ def _bisect(
             w = 1 << max((hi - lo) // n, 1).bit_length() - 1
             r = max(f_lo[1], f_hi[1])
             y_lo, y_hi = f_lo[0] << r - f_lo[1], f_hi[0] << r - f_hi[1]
-            c = (lo + (hi - lo) * y_lo // (y_lo - y_hi)) & -w
-            tries = (c, c + w)
+            secant = (lo + (hi - lo) * y_lo // (y_lo - y_hi)) & -w
+            tries = (secant, secant + w)
         else:
             tries = ((lo + hi) >> 1,)
         for u in tries:
             if lo < u < hi:
                 z = (u & -u).bit_length() - 1
-                value, r = _signed_value(monomial, u >> z, depth - z)
+                value, r = _signed_value(c, u >> z, depth - z)
                 if not value:
-                    root = Fraction(u, 1 << depth)
-                    return root, root
+                    return u, u
                 if (value > 0) == left_positive:
                     lo, f_lo = u, (value, r)
                 else:
@@ -447,51 +479,51 @@ def _bisect(
             n = n * n if hi - lo <= w else max(2, math.isqrt(n))
         elif f_lo and f_hi:
             n = 4
-    return Fraction(lo, 1 << depth), Fraction(hi, 1 << depth)
+    return lo, hi
 
 
 def _signed_value(c: Sequence[int], u: int, v: int) -> tuple[int, int]:
-    """(y, r) with y / 2^r near c(u / 2^v) and of its exact sign, for 0 < u / 2^v < 1.
+    """(y, r) with y / 2^r near g(u / 2^v) and of its exact sign, for 0 < u / 2^v < 1.
 
-    ``_fixed_value`` at r = 64, 128, ... bounds c(u / 2^v) * 2^r in [y, y + d),
-    which certifies a sign once y > 0 or y + d <= 0; at r >= v*d the exact
-    ``_dyadic_value`` settles it, so y = 0 only where c is exactly 0.
+    g = sum_i c_i p^i (1-p)^(d-i), d = len(c) - 1.  ``_fixed_value`` at
+    R = 64, 128, ... bounds 2^R g(p) / max(p, 1-p)^d in [y, y + d), which
+    certifies a sign once y > 0 or y + d <= 0.  Such a y is rescaled to
+    y max(u, w)^d at r = R + v d, w = 2^v - u, an integer of the same sign
+    near 2^r g(p): the secant in ``_bisect`` then compares values of g
+    itself, not of the far steeper g / max(p, 1-p)^d.  At R >= v d the exact
+    ``_dyadic_value`` settles the sign, so y = 0 only where g is exactly 0.
     """
     d = len(c) - 1
     r = 64
     while r < v * d:
         y = _fixed_value(c, u, v, r)
         if y > 0 or y + d <= 0:
-            return y, r
+            return y * max(u, (1 << v) - u) ** d, r + v * d
         r <<= 1
     return _dyadic_value(c, u, v), v * d
 
 
 def _fixed_value(c: Sequence[int], u: int, v: int, r: int) -> int:
-    """c(u / 2^v) * 2^r floored at each Horner step: the truth is in [y, y + d), d = len(c) - 1.
+    """2^r g(p) / max(p, 1-p)^d at p = u / 2^v, floored at each Horner step: the truth is in [y, y + d).
 
-    At 0 <= u / 2^v <= 1 each step scales the error so far by at most 1 and
-    adds less than one unit; at d = 0 the value is exact.
+    g = sum_i c_i p^i (1-p)^(d-i), d = len(c) - 1.  With w = 2^v - u, that is
+    sum_i c_i (u/w)^i 2^r at p <= 1/2, by Horner's rule in u/w <= 1, and the
+    same sum of the reversed coefficients in w/u <= 1 above 1/2.  Each step
+    scales the error so far by at most 1 and adds less than one unit; at
+    d = 0 the value is exact.
     """
+    w = (1 << v) - u
+    if u > w:
+        c, u, w = c[::-1], w, u
     y = c[-1] << r
     for i in range(len(c) - 2, -1, -1):
-        y = (y * u >> v) + (c[i] << r)
+        y = y * u // w + (c[i] << r)
     return y
 
 
 def _dyadic_value(c: Sequence[int], u: int, v: int) -> int:
-    """The integer c(u / 2^v) * 2^(v*d), d = len(c) - 1, by Horner's rule."""
-    d = len(c) - 1
-    acc = c[-1]
-    for i in range(d - 1, -1, -1):
-        acc = acc * u + (c[i] << (v * (d - i)))
-    return acc
-
-
-def _value_at(c: Sequence[int], x: Fraction) -> Fraction:
-    """Exact c(x) at a dyadic x (every float is one), normalized once."""
-    v = x.denominator.bit_length() - 1
-    return Fraction(_dyadic_value(c, x.numerator, v), 1 << (v * (len(c) - 1)))
+    """The integer sum_i c_i u^i (2^v - u)^(d-i), d = len(c) - 1: the form at u / 2^v times 2^(v d)."""
+    return _form(c, u, (1 << v) - u)
 
 
 def _sign_variations(c: list[int]) -> int:

@@ -13,7 +13,7 @@ import json
 from importlib import resources
 from typing import NamedTuple
 
-from .advantage import AdvantageResult, advantage_polynomial
+from .advantage import AdvantageResult, _advantage, advantage_polynomial
 from .game import GameParams, ParameterError
 from .minimize import _at_limit_bias, _check_tol, _minimize
 
@@ -61,13 +61,14 @@ def reference_minimized() -> tuple[list[dict], float]:
 def minimized_table(tol: float = 1e-9) -> tuple[list[MinimizedRow], float]:
     """Recompute both columns of the minimized-advantage table.
 
-    Each row's polynomial is built once and serves both columns.
+    Each row's advantage is built once, in the (p, 1-p) basis alone, and
+    serves both columns.
     """
     _check_tol(tol)
     rows, tolerance = reference_minimized()
     out = []
     for row in rows:
-        adv = advantage_polynomial(GameParams(row["n"], row["alpha"], row["beta"]))
+        adv = _advantage(GameParams(row["n"], row["alpha"], row["beta"]))
         out.append(
             MinimizedRow(
                 n=row["n"],

@@ -1,6 +1,7 @@
 """Advantage polynomial assembly and its structural laws."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebra import ref_add, ref_expand_counts, ref_mul
-from coinrace.advantage import advantage_at, advantage_polynomial, tie_probability
+from coinrace.advantage import _form, _value_at, advantage_at, advantage_polynomial, tie_probability
 from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
 from coinrace.oracle import brute_force_hit_pmf
 from coinrace.polynomial import ONE, Poly, from_homogeneous
@@ -172,6 +173,99 @@ def test_odd_tie_coefficient_aborts_the_halving(monkeypatch, slot):
     message = rf"non-integer coefficient at p\^{slot} \(1-p\)\^{6 - slot} for "
     with pytest.raises(ConsistencyError, match=message):
         advantage_polynomial(GameParams(3, 1, 1))
+
+
+def every_entry_point():
+    """Each public path to the advantage: the polynomial, and those that read the (p, 1-p) form alone."""
+    from coinrace.minimize import advantage_at_asymptotic, minimize_advantage
+
+    return {
+        "advantage_polynomial": advantage_polynomial,
+        "minimize_advantage": minimize_advantage,
+        "advantage_at": lambda game: advantage_at(game, Fraction(1, 3)),
+        "advantage_at_asymptotic": advantage_at_asymptotic,
+    }
+
+
+@pytest.mark.parametrize(
+    "game,corrupt,message",
+    [
+        # one more p^j (1-p)^(6-j) in I puts (-1)^(6-j) p^6 in it
+        ((3, 1, 1), {0: 2}, r"advantage degree is not 2m-2 = 4 for "),
+        ((3, 1, 1), {5: 2}, r"advantage degree is not 2m-2 = 4 for "),
+        # p^2 (1-p)^4 + p^3 (1-p)^3 = p^2 (1-p)^3: no p^6, but -p^5
+        ((3, 1, 1), {2: 2, 3: 2}, r"advantage degree is not 2m-2 = 4 for "),
+        # 2I = 2 (p + (1-p))^6 makes I = 1, of degree 0
+        ((3, 1, 1), "one", r"advantage degree is not 2m-2 = 4 for "),
+        # (2, 2, 1) ends on turn 1, so I must be (p + (1-p))^2: 1, 2, 1
+        ((2, 2, 1), {1: 2}, r"single-turn game \(l=m=1\) must have advantage 1"),
+        ((3, 1, 1), {1: 1}, r"non-integer coefficient at p\^1 \(1-p\)\^5 for "),
+    ],
+    ids=["p^0-slot", "p^5-slot", "two-slots", "identically-one", "degenerate", "odd"],
+)
+@pytest.mark.parametrize("entry", sorted(every_entry_point()))
+def test_a_corrupted_kernel_aborts_every_entry_point(monkeypatch, game, corrupt, message, entry):
+    # the checks run once, in the builder that every path shares
+    import coinrace.advantage as advantage_module
+
+    real = advantage_module._doubled_advantage
+
+    def corrupted(params, bounds):
+        slots = real(params, bounds)
+        if corrupt == "one":
+            return [2 * math.comb(len(slots) - 1, j) for j in range(len(slots))]
+        for j, extra in corrupt.items():
+            slots[j] += extra
+        return slots
+
+    monkeypatch.setattr(advantage_module, "_doubled_advantage", corrupted)
+    with pytest.raises(ConsistencyError, match=message):
+        every_entry_point()[entry](GameParams(*game))
+
+
+def test_minimizing_reads_only_the_homogeneous_form(monkeypatch):
+    # neither the Taylor shift to monomials nor a Poly is built on these paths
+    import coinrace.advantage as advantage_module
+    from coinrace.tables import minimized_table
+
+    def never(*args):
+        raise AssertionError("converted the advantage to monomials")
+
+    monkeypatch.setattr(advantage_module, "from_homogeneous", never)
+    monkeypatch.setattr(advantage_module, "Poly", never)
+    for name, entry in every_entry_point().items():
+        if name != "advantage_polynomial":
+            entry(GameParams(15, 1, 3))
+    rows, _ = minimized_table(1e-9)
+    assert rows
+    with pytest.raises(AssertionError, match="monomials"):
+        advantage_polynomial(GameParams(15, 1, 3))
+
+
+def test_the_form_value_is_the_monomial_value():
+    # _value_at evaluates sum_j c_j p^j (1-p)^(D-j) by halving the c_j, Poly
+    # by Horner's rule on monomial coefficients: they share no code
+    rng = random.Random(38)
+    for game in [(3, 1, 1), (2, 2, 1), (15, 1, 1), (100, 1, 1), (150, 2, 3), (90, 1, 2)]:
+        result = advantage_polynomial(GameParams(*game))
+        points = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)]
+        points += [Fraction(rng.randrange(1, 1 << v), 1 << v) for v in (1, 2, 30, 31, 64, 334)]
+        points += [Fraction(rng.randrange(10**40), 10**40 + 7) for _ in range(3)]
+        for x in points:
+            assert _value_at(result.homogeneous, x) == result.poly(x), (game, x)
+        for x in points[:5]:
+            assert advantage_at(GameParams(*game), x) == result.poly(x), (game, x)
+
+
+@pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 31, 32, 33, 100, 257])
+def test_the_form_value_splits_every_length_exactly(length):
+    # halves down to Horner sums of at most 16, joined by powers of u and w
+    rng = random.Random(length)
+    c = [rng.randint(-(2**100), 2**100) for _ in range(length)]
+    monomial = Poly(from_homogeneous(c))
+    for u, w in [(0, 1), (1, 0), (1, 1), (3, 5), (2**40 + 1, 3), (rng.getrandbits(200), rng.getrandbits(90))]:
+        x = Fraction(u, u + w)
+        assert _form(c, u, w) == monomial(x) * (u + w) ** (length - 1), (u, w)
 
 
 @pytest.mark.parametrize("end", ["first", "last"])

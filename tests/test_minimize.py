@@ -1,9 +1,12 @@
 """Advantage minimization and the limiting optimal bias."""
 
+import collections
 import hashlib
 import math
 import random
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 
@@ -306,7 +309,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algebra import ref_add, ref_mul
-from coinrace.minimize import _isolate
+from coinrace.minimize import _depth, _isolate
 from coinrace.polynomial import ONE, Poly, to_homogeneous
 
 
@@ -320,12 +323,23 @@ def isolate_unit_interval_roots(dpoly, tol):
     coeffs = list(dpoly.coeffs)
     if len(coeffs) <= 1:
         return []
-    return brackets_of(_isolate(coeffs, to_homogeneous(coeffs, len(coeffs) - 1), tol, [0]))
+    return brackets_of(_isolate(to_homogeneous(coeffs, len(coeffs) - 1), tol, [0]), tol)
 
 
-def brackets_of(candidates):
-    """The sorted brackets of _isolate's candidates, without the ends 0 and 1."""
-    return sorted(bracket for _, _, bracket in candidates if bracket)
+def as_fractions(isolated, tol):
+    """_isolate's (candidates, denominator) at tol as (value, point, bracket) rationals."""
+    candidates, denominator = isolated
+    depth = _depth(tol)
+    return [
+        (Fraction(value, denominator), Fraction(point, 2 << depth),
+         bracket and (Fraction(bracket[0], 1 << depth), Fraction(bracket[1], 1 << depth)))
+        for value, point, bracket in candidates
+    ]
+
+
+def brackets_of(isolated, tol):
+    """The sorted brackets of _isolate's candidates at tol, without the ends 0 and 1."""
+    return sorted(bracket for _, _, bracket in as_fractions(isolated, tol) if bracket)
 
 
 unit_roots = st.fractions(
@@ -395,9 +409,9 @@ def test_real_games_bracket_only_sign_changes(monkeypatch, game):
     real = minimize_module._isolate
 
     def recording(*args):
-        candidates = real(*args)
-        seen.extend(brackets_of(candidates))
-        return candidates
+        isolated = real(*args)
+        seen.extend(brackets_of(isolated, args[1]))
+        return isolated
 
     monkeypatch.setattr(minimize_module, "_isolate", recording)
     result = minimize_advantage(GameParams(*game))
@@ -483,20 +497,23 @@ def test_bernstein_scales_each_coefficient_by_its_lcm_over_binomial(monkeypatch,
     assert minimize_module._bernstein(c) == (expected, scale)
 
 
-def halve_to_depth(monomial, x, a, s, depth):
-    """Plain exact bisection of node (a, s) around its one root, the reference for _bisect."""
+def halve_to_depth(c, x, a, s, depth):
+    """Plain exact bisection of node (a, s) around its one root, the reference for _bisect.
+
+    c is in the (p, 1-p) basis, and the ends come back in units of 2^-depth.
+    """
     left_positive = x[0] > 0
     lo, hi = a << (depth - s), (a + 1) << (depth - s)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        value = minimize_module._dyadic_value(monomial, mid, depth)
+        value = minimize_module._dyadic_value(c, mid, depth)
         if not value:
-            return Fraction(mid, 2**depth), Fraction(mid, 2**depth)
+            return mid, mid
         if (value > 0) == left_positive:
             lo = mid
         else:
             hi = mid
-    return Fraction(lo, 2**depth), Fraction(hi, 2**depth)
+    return lo, hi
 
 
 def bisect_by_halving(monkeypatch):
@@ -521,7 +538,7 @@ def record_calls(monkeypatch, name):
 
 def exact_reruns(isolations):
     """The recorded _isolate calls that set ``exact``: the reruns after an open sign."""
-    return [args for args in isolations if args[4:] == (True,)]
+    return [args for args in isolations if args[3:] == (True,)]
 
 
 def fallback_results():
@@ -665,9 +682,10 @@ def test_refinement_matches_plain_halving(inside, others, depth):
     # every refinement decision is an exact sign, so at every depth the cell, or
     # the dyadic root itself, must be the reference's
     coeffs = list(poly_with_roots(others, inside).coeffs)
-    x, _ = minimize_module._bernstein(to_homogeneous(coeffs, len(coeffs) - 1))
-    expected = halve_to_depth(coeffs, x, 0, 0, depth)
-    assert minimize_module._bisect(coeffs, x, 0, 0, depth) == expected
+    c = to_homogeneous(coeffs, len(coeffs) - 1)
+    x, _ = minimize_module._bernstein(c)
+    expected = halve_to_depth(c, x, 0, 0, depth)
+    assert minimize_module._bisect(c, x, 0, 0, depth) == expected
 
 
 def test_a_dyadic_root_inside_a_refined_node_is_read_exactly(monkeypatch):
@@ -677,12 +695,13 @@ def test_a_dyadic_root_inside_a_refined_node_is_read_exactly(monkeypatch):
     root = Fraction(13, 16)
     dpoly = advantage_polynomial(GameParams(100, 1, 1)).poly.derivative()
     coeffs = list(poly_with_roots([root], dpoly).coeffs)
-    b, _ = minimize_module._bernstein(to_homogeneous(coeffs, len(coeffs) - 1))
+    c = to_homogeneous(coeffs, len(coeffs) - 1)
+    b, _ = minimize_module._bernstein(c)
     x = minimize_module._split(minimize_module._split(b)[1])[1]
     assert minimize_module._sign_variations(x) == 1
     sums = record_calls(monkeypatch, "_fixed_value")
     exact = record_calls(monkeypatch, "_dyadic_value")
-    assert minimize_module._bisect(coeffs, x, 3, 2, 30) == (root, root)
+    assert tuple(Fraction(e, 2**30) for e in minimize_module._bisect(c, x, 3, 2, 30)) == (root, root)
     assert [r for _, u, v, r in sums if (u, v) == (13, 4)] == [64, 128, 256, 512]
     assert [(u, v) for _, u, v in exact] == [(13, 4)]
 
@@ -703,11 +722,12 @@ def polynomials_at_dyadic_points(draw):
 @example(([-5], 3, 2), 64)  # d = 0
 @example(([0] * 7, 1, 1), 64)  # the zero polynomial
 def test_fixed_point_sums_bound_the_value_and_certify_only_true_signs(point, r):
-    c, u, v = point
-    d = len(c) - 1
+    monomial, u, v = point
+    d = len(monomial) - 1
+    c = to_homogeneous(monomial, d)
     y = minimize_module._fixed_value(c, u, v, r)
     exact = minimize_module._dyadic_value(c, u, v)  # c(u/2^v) * 2^(v*d)
-    scaled = Fraction(exact << r, 1 << v * d)  # c(u/2^v) * 2^r
+    scaled = Fraction(exact << r, max(u, (1 << v) - u) ** d)  # c(p) * 2^r / max(p, 1-p)^d
     assert y <= scaled < y + max(d, 1)  # exact at d = 0
     sign = (exact > 0) - (exact < 0)
     if y > 0:
@@ -716,6 +736,76 @@ def test_fixed_point_sums_bound_the_value_and_certify_only_true_signs(point, r):
         assert sign == -1
     value, _ = minimize_module._signed_value(c, u, v)
     assert (value > 0) - (value < 0) == sign
+
+
+# points below 1/2, at it and above it, with w = 2^v - u of one CPython digit
+# (v <= 30) and of several (v > 30); u/2^v need not be in lowest terms
+SIGN_POINTS = [
+    (1, 3), (1, 1), (5, 3), (12345, 30), (1 << 29, 30), (2**30 - 7, 30),
+    (3, 31), (1 << 40, 41), (2**40 + 1, 41), (1 << 99, 100), (2**100 - 3, 100),
+]
+
+
+def slopes_of(game):
+    """I' of the game in the (p, 1-p) basis of degree 2m - 1, as _minimize builds it."""
+    c = advantage_polynomial(GameParams(*game)).homogeneous
+    d = len(c) - 1
+    return [(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)]
+
+
+@pytest.mark.parametrize("u,v", SIGN_POINTS)
+def test_fixed_point_value_brackets_the_scaled_form_on_both_sides_of_one_half(u, v):
+    # y <= 2^r g(p) / max(p, 1-p)^d < y + d: Horner in u/w <= 1 below 1/2, and
+    # on the reversed coefficients in w/u <= 1 above it
+    rng = random.Random(u ^ v)
+    forms = [slopes_of((100, 1, 1)), slopes_of((60, 4, 1))]
+    forms.append([rng.randint(-(2**300), 2**300) for _ in range(120)])
+    w = (1 << v) - u
+    for c in forms:
+        d = len(c) - 1
+        exact = minimize_module._dyadic_value(c, u, v)  # 2^(v d) g(p)
+        assert exact == sum(x * u**i * w ** (d - i) for i, x in enumerate(c))
+        for r in (0, 64, 300):
+            y = minimize_module._fixed_value(c, u, v, r)
+            assert y <= Fraction(exact << r, max(u, w) ** d) < y + d, (r, d)
+
+
+@pytest.mark.parametrize("u,v", SIGN_POINTS)
+def test_the_secant_value_keeps_the_certified_sign_at_the_slopes_scale(u, v):
+    # _signed_value rescales a certified y by max(u, w)^d, to about 2^r g(p)
+    # at r = R + v d, where g itself, not g / max(p, 1-p)^d, has its root
+    w = (1 << v) - u
+    for game in [(100, 1, 1), (60, 4, 1), (15, 1, 1)]:
+        c = slopes_of(game)
+        d = len(c) - 1
+        exact = minimize_module._dyadic_value(c, u, v)
+        y, r = minimize_module._signed_value(c, u, v)
+        assert (y > 0) - (y < 0) == (exact > 0) - (exact < 0) != 0
+        if r == v * d:  # settled exactly
+            assert y == exact
+        else:
+            fixed = minimize_module._fixed_value(c, u, v, r - v * d)
+            assert y == fixed * max(u, w) ** d
+            assert y <= exact << (r - v * d) < y + d * max(u, w) ** d
+
+
+def test_repr_writes_exact_values_past_the_int_digit_cap():
+    # value_exact of (250, 4, 3) at 1e-100 has a denominator of 41 417 bits,
+    # past the 4300 digits that int's str and a Fraction's repr stop at
+    result = minimize_advantage(GameParams(250, 4, 3), 1e-100)
+    assert result.value_exact.denominator.bit_length() == 41417
+    text = repr(result)
+    parts = re.findall(r"Fraction\((\d+), (\d+)\)", text)
+    assert [Fraction(int(Decimal(a)), int(Decimal(b))) for a, b in parts] == [result.value_exact, *result.bracket]
+    # small results keep the tuple's own repr, byte for byte
+    plain = collections.namedtuple("MinimizationResult", MinimizationResult._fields)
+    for game, tol in [((2, 1, 1), 1e-9), ((2, 2, 1), 1e-3), ((15, 1, 1), 1), ((60, 4, 1), 1e-9)]:
+        small = minimize_advantage(GameParams(*game), tol)
+        assert repr(small) == repr(plain(*small))
+    assert repr(minimize_advantage(GameParams(2, 1, 1))) == (
+        "MinimizationResult(degenerate=False, bias=0.5, value=0.75, value_exact=Fraction(3, 4), "
+        "bracket=(Fraction(1, 2), Fraction(1, 2)), tol=1e-09, tie=False)"
+    )
 
 
 def test_deep_refinement_reads_few_signs(monkeypatch):
@@ -737,8 +827,7 @@ def minimize_without_bounds(adv, tol):
     c = adv.homogeneous
     d = len(c) - 1
     slopes = [(i + 1) * c[i + 1] - (d - i) * c[i] for i in range(d)]
-    monomial = list(adv.poly.derivative().coeffs)
-    brackets = brackets_of(_isolate(monomial, slopes, Fraction(tol), [0]))
+    brackets = brackets_of(_isolate(slopes, Fraction(tol), [0]), tol)
     candidates = [(adv.poly(Fraction(p)), Fraction(p), None) for p in (0, 1)]
     candidates += [(adv.poly((lo + hi) / 2), (lo + hi) / 2, (lo, hi)) for lo, hi in brackets]
     value, point, bracket = min(candidates, key=lambda c: (c[0], c[1]))
@@ -770,34 +859,45 @@ def bernstein_minimum_on_node(adv, a, s):
 
 
 def record_bounds_by_node(monkeypatch):
-    """A list that collects ((a, s), args) for each _lower_bound call, on node (a, s).
+    """A list that collects ((a, s), args, bound) for each _lower_bound call, on node (a, s).
 
-    The root's bound follows I at 0 and then I at 1, and a split's two bounds,
-    the left child's then the right one's, follow I at the split's midpoint m:
-    the children are (2^s m - 1, s) and (2^s m, s).
+    Each search starts with ``_bernstein``, and its root's bound comes before
+    any value of I is taken inside (0, 1), since I(0) and I(1) are read off
+    the coefficients.  A split's two bounds, the left child's then the right
+    one's, follow I at the split's midpoint m = u/2^s, u odd: the children
+    are (u - 1, s) and (u, s).  ``bound`` is the returned integer over the
+    denominator lcm(1, ..., len(x)) 2^t of the root's args (x, t, I(0)).
     """
-    bounds, points, after = [], [], []
-    value_at, lower_bound = minimize_module._value_at, minimize_module._lower_bound
+    bounds, points, after, denominator = [], [], [], []
+    bernstein, value_at = minimize_module._bernstein, minimize_module._dyadic_value
+    lower_bound = minimize_module._lower_bound
 
-    def value_recording(c, x):
-        points[:] = [*points[-1:], x]
+    def bernstein_recording(c):
+        points.clear()
         after.clear()
-        return value_at(c, x)
+        return bernstein(c)
+
+    def value_recording(c, u, v):
+        points[:] = [*points[-1:], (u, v)]
+        after.clear()
+        return value_at(c, u, v)
 
     def bound_recording(*args):
-        s = args[1]
-        if s:
-            mid = points[-1] * 2**s
-            assert mid.denominator == 1 and len(after) < 2
-            a = int(mid) - (not after)
+        if points:
+            u, s = points[-1]
+            assert u & 1 and len(after) < 2
+            a = u - (not after)
         else:
-            assert points == [0, 1] and not after
-            a = 0
+            assert not after
+            a = s = 0
+            x, t, _ = args
+            denominator[:] = [math.lcm(*range(1, len(x) + 1)) << t]
         after.append(a)
-        bounds.append(((a, s), args))
+        bounds.append(((a, s), args, Fraction(lower_bound(*args), denominator[0])))
         return lower_bound(*args)
 
-    monkeypatch.setattr(minimize_module, "_value_at", value_recording)
+    monkeypatch.setattr(minimize_module, "_bernstein", bernstein_recording)
+    monkeypatch.setattr(minimize_module, "_dyadic_value", value_recording)
     monkeypatch.setattr(minimize_module, "_lower_bound", bound_recording)
     return bounds
 
@@ -821,12 +921,11 @@ def test_equal_minima_are_both_refined_and_reported_as_a_tie(monkeypatch, degree
     found = []
     real = minimize_module._isolate
 
-    def recording(monomial, homogeneous, tol, integral):
-        candidates = real(monomial, homogeneous, tol, integral)
-        found.extend(candidates)
-        return candidates
+    def recording(homogeneous, tol, integral):
+        isolated = real(homogeneous, tol, integral)
+        found.extend(as_fractions(isolated, tol))
+        return isolated
 
-    lower_bound = minimize_module._lower_bound
     bounds = record_bounds_by_node(monkeypatch)
     monkeypatch.setattr(minimize_module, "_isolate", recording)
     result = minimize_module._minimize(adv, 1e-9)
@@ -835,8 +934,8 @@ def test_equal_minima_are_both_refined_and_reported_as_a_tie(monkeypatch, degree
     assert result.value_exact == 16 and result.bracket == (quarter, quarter)
     assert (16, quarter, (quarter, quarter)) in found
     assert (16, three_quarters, (three_quarters, three_quarters)) in found
-    three_quarters_to_one = [args for node, args in bounds if node == (3, 2)]
-    assert [lower_bound(*args) for args in three_quarters_to_one] == [16]
+    three_quarters_to_one = [bound for node, _, bound in bounds if node == (3, 2)]
+    assert three_quarters_to_one == [16]
     assert result == minimize_without_bounds(adv, 1e-9)
 
 
@@ -909,15 +1008,13 @@ def test_every_lower_bound_is_at_most_the_least_bernstein_coefficient(monkeypatc
     games = [(n, a, b) for n in range(1, 41) for a in range(1, 5) for b in range(1, 5)]
     advs = [advantage_polynomial(GameParams(*game)) for game in games]
     advs.append(synthetic_advantage(TWIN_MINIMA, 6))  # it has midpoint roots
-    lower_bound = minimize_module._lower_bound
     bounds = record_bounds_by_node(monkeypatch)
     checked = exact = zero_end = 0
     for adv in advs:
         bounds.clear()
         minimize_module._minimize(adv, 1e-9)
         slope = adv.poly.derivative()
-        for (a, s), args in bounds:
-            low = lower_bound(*args)
+        for (a, s), _, low in bounds:
             least = bernstein_minimum_on_node(adv, a, s)
             assert low <= least, (adv.params, a, s)
             checked += 1
@@ -928,19 +1025,19 @@ def test_every_lower_bound_is_at_most_the_least_bernstein_coefficient(monkeypatc
 
 def test_an_exact_rerun_keeps_sound_bounds(monkeypatch):
     # Every node of the exact rerun carries the scale of s exact splits,
-    # 2^((D-1) s) times the root's, so each bound is the least Bernstein
+    # 2^((D-1) s) times the root's, a shift D s below the root's, where D is
+    # the number of coefficients of I', so each bound is the least Bernstein
     # coefficient itself.  TWIN_MINIMA times 2^200 is past _BITS, so its
     # splits truncate and leave signs open too.
     games = [(100, 1, 1), (150, 2, 3), (90, 1, 2), (99, 1, 1)]
     advs = [advantage_polynomial(GameParams(*game)) for game in games]
     scaled = [c << 200 for c in TWIN_MINIMA]
     advs += [synthetic_advantage(scaled, degree) for degree in (6, 8)]
-    lower_bound = minimize_module._lower_bound
     bounds = record_bounds_by_node(monkeypatch)
     isolate, reruns = minimize_module._isolate, []
 
     def rerun_bounds_only(*args):
-        if args[4:]:
+        if args[3:]:
             reruns.append(args)
             bounds.clear()
         return isolate(*args)
@@ -952,11 +1049,11 @@ def test_an_exact_rerun_keeps_sound_bounds(monkeypatch):
         reruns.clear()
         minimize_module._minimize(adv, 1e-9)
         assert len(reruns) == 1
-        root, (_, _, _, root_scale) = bounds[0]
+        root, (_, root_shift, _), _ = bounds[0]
         assert root == (0, 0)
-        for (a, s), args in bounds:
-            assert args[3] == root_scale * 2 ** ((len(args[0]) - 1) * s)
-            assert lower_bound(*args) == bernstein_minimum_on_node(adv, a, s), (a, s)
+        for (a, s), args, low in bounds:
+            assert args[1] == root_shift - len(args[0]) * s
+            assert low == bernstein_minimum_on_node(adv, a, s), (a, s)
             checked += 1
     assert checked > 20, checked
 
@@ -991,15 +1088,16 @@ def test_isolation_agrees_with_sympy_from_degree_near_100_to_the_large_exact_gam
 
 
 def test_minimized_table_builds_each_polynomial_once(monkeypatch):
+    import coinrace.advantage as advantage_module
     import coinrace.tables as tables
 
     built = []
 
     def counting(params):
         built.append(params)
-        return advantage_polynomial(params)
+        return advantage_module._advantage(params)
 
-    monkeypatch.setattr(tables, "advantage_polynomial", counting)
+    monkeypatch.setattr(tables, "_advantage", counting)
     rows, _ = tables.minimized_table(1e-9)
     assert len(built) == len(rows) == len(tables.reference_minimized()[0])
     for row in rows:
@@ -1015,7 +1113,7 @@ def test_minimized_table_rejects_tol_before_building(monkeypatch, tol):
     def never(params):
         raise AssertionError("built a polynomial before checking tol")
 
-    monkeypatch.setattr(tables, "advantage_polynomial", never)
+    monkeypatch.setattr(tables, "_advantage", never)
     with pytest.raises(ParameterError):
         tables.minimized_table(tol)
 
