@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from operator import index
+from operator import index, neg
 from typing import Iterable
 
 
@@ -112,8 +112,11 @@ def from_homogeneous(c: Iterable[int]) -> list[int]:
     The inverse shift subtracts where ``to_homogeneous`` adds; negating the
     odd-indexed entries before and after turns it into the same running sums.
     """
-    alt = [x if j % 2 == 0 else -x for j, x in enumerate(c)]
-    return [x if j % 2 == 0 else -x for j, x in enumerate(to_homogeneous(alt, len(alt) - 1))]
+    alt = list(c)
+    alt[1::2] = map(neg, alt[1::2])
+    out = to_homogeneous(alt, len(alt) - 1)
+    out[1::2] = map(neg, out[1::2])
+    return out
 
 
 def render(poly: Poly, latex: bool = False) -> str:
