@@ -37,19 +37,18 @@ are checked and halved once.  ``advantage_polynomial`` converts them to
 monomials once; the minimizer and the evaluations at one bias read them as
 they are.  Both basis changes are integer and unit triangular, so every
 monomial coefficient of 2I is even exactly when every (p, q) coefficient is.
+``coinrace.polynomial`` holds the basis's arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import accumulate
+from itertools import islice
 from math import comb
-from operator import neg
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .game import GameParams, NormalizedParams, ParameterError, TurnBounds, normalize, parse_rational, turn_bounds
-from .polynomial import Poly, from_homogeneous
+from .polynomial import Poly, _form, _inverse_shift, from_homogeneous
 from .stopping import ConsistencyError, win_turn_slots
 
 
@@ -103,11 +102,10 @@ def _advantage(params: GameParams) -> AdvantageResult:
     The degenerate case is detected twice on purpose: structurally (l == m,
     every game ties in hit-time) and from the coefficients, which must be
     C(D, j), those of (p + (1-p))^D = 1, D = 2m.  Otherwise the degree must be
-    D - 2.  Any disagreement, a wrong degree, or an odd (p, 1-p) coefficient
-    of 2I indicates a construction bug and aborts.  The monomial coefficient
-    of p^(D-r) is (-1)^r sum_j z_j C(D-j, r), z_j = (-1)^(D-j) c_j = (-1)^j c_j
-    as D is even: for r = 0, 1, 2, the last running sum P_D of z, the sum of
-    P_0..P_(D-1), and the sum of their running sums up to D - 2.
+    D - 2: the monomial coefficients of p^D and p^(D-1) vanish and that of
+    p^(D-2) does not, read off by the first three passes of the inverse
+    shift.  Any disagreement, a wrong degree, or an odd (p, 1-p) coefficient
+    of 2I indicates a construction bug and aborts.
     """
     nparams = normalize(params)
     bounds = turn_bounds(nparams)
@@ -124,41 +122,10 @@ def _advantage(params: GameParams) -> AdvantageResult:
         if homogeneous != tuple(comb(d, j) for j in range(d + 1)):
             raise ConsistencyError(f"single-turn game (l=m={bounds.l}) must have advantage 1")
     else:
-        z = list(homogeneous)
-        z[1::2] = map(neg, z[1::2])
-        running = list(accumulate(z))
-        if running[d] or sum(running[:d]) or not sum(accumulate(running[: d - 1])):
+        top, below, third = islice(_inverse_shift(homogeneous), 3)
+        if top or below or not third:
             raise ConsistencyError(f"advantage degree is not 2m-2 = {d - 2} for {nparams}")
     return AdvantageResult(nparams, bounds, None, degenerate, homogeneous)
-
-
-def _value_at(c: Sequence[int], x: Fraction) -> Fraction:
-    """Exact value of sum_j c_j p^j (1-p)^(D-j) at p = x in [0, 1], normalized once."""
-    u, v = x.numerator, x.denominator
-    return Fraction(_form(c, u, v - u), v ** (len(c) - 1))
-
-
-def _form(c: Sequence[int], u: int, w: int) -> int:
-    """The integer sum_j c_j u^j w^(D-j), D = len(c) - 1: the form at p = u / (u + w) times (u + w)^D.
-
-    Each half of the coefficients is summed on its own and the two are joined
-    by a power of w and one of u, down to Horner sums of at most 16 terms.
-    The halves of a level differ in length by at most one, so each power is
-    taken once, and the products at the top are balanced.
-    """
-    power = cache(pow)
-
-    def part(lo: int, hi: int) -> int:  # sum_(j=lo..hi-1) c_j u^(j-lo) w^(hi-1-j)
-        if hi - lo <= 16:
-            acc, scale = c[hi - 1], 1
-            for j in range(hi - 2, lo - 1, -1):
-                scale *= w
-                acc = acc * u + c[j] * scale
-            return acc
-        mid = (lo + hi) // 2
-        return part(lo, mid) * power(w, hi - mid) + part(mid, hi) * power(u, mid - lo)
-
-    return part(0, len(c))
 
 
 def advantage_at(params: GameParams, p: int | Fraction) -> Fraction:
@@ -166,4 +133,5 @@ def advantage_at(params: GameParams, p: int | Fraction) -> Fraction:
     p = parse_rational(p)
     if not 0 <= p <= 1:
         raise ParameterError("p must be in [0, 1]")
-    return _value_at(_advantage(params).homogeneous, p)
+    c, u, v = _advantage(params).homogeneous, p.numerator, p.denominator
+    return Fraction(_form(c, u, v - u), v ** (len(c) - 1))

@@ -102,7 +102,11 @@ def _emit(fmt: str, report: Report) -> int:
         rows = report.rows() if report.rows else [[report.doc[key] for key in report.header]]
         csv.writer(sys.stdout, lineterminator="\n").writerows([report.header, *rows])
     elif fmt == "json":
-        print(json.dumps(report.doc))
+        try:
+            doc = json.dumps(report.doc)
+        except ValueError as exc:  # json writes an int through str(), which stops at the int digit cap
+            raise OverflowError from exc
+        print(doc)
     else:
         print("\n".join(report.text() if fmt == "text" else report.latex()))
     return report.code

@@ -67,8 +67,9 @@ from math import lcm
 from operator import add, ne
 from typing import NamedTuple, Optional, Sequence
 
-from .advantage import AdvantageResult, _advantage, _form
+from .advantage import AdvantageResult, _advantage
 from .game import GameParams, ParameterError, parse_rational
+from .polynomial import _form
 from .stopping import ConsistencyError
 
 

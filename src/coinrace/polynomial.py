@@ -1,4 +1,4 @@
-"""Exact univariate integer polynomials: a value type, evaluated exactly.
+"""Exact univariate integer polynomials: a value type, and the (p, 1-p) basis.
 
 A polynomial is a dense, ascending sequence of Python ``int`` coefficients:
 ``Poly((1, -2, 1))`` is ``1 - 2p + p^2``.  Every polynomial of the game has
@@ -9,16 +9,21 @@ differentiated and rendered; it defines no arithmetic.  Trailing zero
 coefficients are stripped on construction; the zero polynomial stores no
 coefficients and has degree ``None``.  Instances are immutable and safe to
 share between threads.
+
+The game's polynomials are built in the (p, 1-p) basis, whose arithmetic is
+all here: both conversions, the read-off of the top monomial coefficients and
+the exact value at a point.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import comb
 from operator import index, neg
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 
 class Poly:
@@ -89,34 +94,66 @@ def binomial(n: int, r: int) -> int:
     return comb(n, r)
 
 
+def _shift(c: list[int]) -> Iterator[int]:
+    """Taylor shift by one of ``c``: each pass takes running sums, then pops and yields the last, which is final."""
+    while c:
+        c = list(accumulate(c))
+        yield c.pop()
+
+
 def to_homogeneous(coeffs: Iterable[int], degree: int) -> list[int]:
     """Coefficients c_j of p^j (1-p)^(degree-j) for ascending monomial ``coeffs``.
 
-    Writing each p^i as p^i (p + (1-p))^(degree-i) is the classic O(degree^2)
-    Taylor shift by one of the reversed list: every pass replaces the list with
-    its running sums, whose last entry is final and is popped off, so each pass
-    is one entry shorter.  The popped entries come out from the top down.
+    Writing each p^i as p^i (p + (1-p))^(degree-i) is the classic Taylor shift
+    by one of the reversed list (``_shift``).  Raises ``ValueError`` when the
+    polynomial's degree exceeds ``degree``; trailing zeros do not count.
     """
-    c = list(coeffs)
+    c = list(Poly(coeffs).coeffs)
+    if len(c) > degree + 1:
+        raise ValueError(f"a polynomial of degree {len(c) - 1} has no form of degree {degree}")
     c += [0] * (degree + 1 - len(c))
-    out = []
-    while c:
-        c = list(accumulate(c))
-        out.append(c.pop())
-    return out[::-1]
+    return list(_shift(c))[::-1]
 
 
-def from_homogeneous(c: Iterable[int]) -> list[int]:
-    """Ascending monomial coefficients of sum_j c_j p^j (1-p)^(D-j); inverts ``to_homogeneous``.
+def _inverse_shift(c: Iterable[int]) -> Iterator[int]:
+    """(-1)^i times the monomial coefficient of p^i in sum_j c_j p^j (1-p)^(D-j), for i = D, D-1, ..., 0.
 
     The inverse shift subtracts where ``to_homogeneous`` adds; negating the
-    odd-indexed entries before and after turns it into the same running sums.
+    odd-indexed c_j turns it into the same running sums, one O(D) pass each.
     """
     alt = list(c)
     alt[1::2] = map(neg, alt[1::2])
-    out = to_homogeneous(alt, len(alt) - 1)
+    return _shift(alt)
+
+
+def from_homogeneous(c: Iterable[int]) -> list[int]:
+    """Ascending monomial coefficients of sum_j c_j p^j (1-p)^(D-j); inverts ``to_homogeneous``."""
+    out = list(_inverse_shift(c))[::-1]
     out[1::2] = map(neg, out[1::2])
     return out
+
+
+def _form(c: Sequence[int], u: int, w: int) -> int:
+    """The integer sum_j c_j u^j w^(D-j), D = len(c) - 1: the form at p = u / (u + w) times (u + w)^D.
+
+    Each half of the coefficients is summed on its own and the two are joined
+    by a power of w and one of u, down to Horner sums of at most 16 terms.
+    The halves of a level differ in length by at most one, so each power is
+    taken once, and the products at the top are balanced.
+    """
+    power = cache(pow)
+
+    def part(lo: int, hi: int) -> int:  # sum_(j=lo..hi-1) c_j u^(j-lo) w^(hi-1-j)
+        if hi - lo <= 16:
+            acc, scale = c[hi - 1], 1
+            for j in range(hi - 2, lo - 1, -1):
+                scale *= w
+                acc = acc * u + c[j] * scale
+            return acc
+        mid = (lo + hi) // 2
+        return part(lo, mid) * power(w, hi - mid) + part(mid, hi) * power(u, mid - lo)
+
+    return part(0, len(c))
 
 
 def render(poly: Poly, latex: bool = False) -> str:

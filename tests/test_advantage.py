@@ -9,12 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebra import ref_add, ref_expand_counts, ref_mul
-from coinrace.advantage import _form, _value_at, advantage_at, advantage_polynomial, tie_probability
+from coinrace.advantage import advantage_at, advantage_polynomial, tie_probability
 from coinrace.game import GameParams, ParameterError, normalize, turn_bounds
 from coinrace.oracle import brute_force_hit_pmf
-from coinrace.polynomial import ONE, Poly, from_homogeneous
+from coinrace.polynomial import ONE, Poly, _form, from_homogeneous
 from coinrace.stopping import ConsistencyError, hit_time_distribution, win_turn_slots
 from coinrace.tables import POLYNOMIAL_TABLES
+
+
+def _value_at(c, x):
+    """sum_j c_j x^j (1-x)^(D-j) through ``_form``, as ``advantage_at`` computes it."""
+    u, v = x.numerator, x.denominator
+    return Fraction(_form(c, u, v - u), v ** (len(c) - 1))
+
 
 params_rationals = st.fractions(min_value=Fraction(1, 2), max_value=6, max_denominator=4)
 scales = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
@@ -243,7 +250,7 @@ def test_minimizing_reads_only_the_homogeneous_form(monkeypatch):
 
 
 def test_the_form_value_is_the_monomial_value():
-    # _value_at evaluates sum_j c_j p^j (1-p)^(D-j) by halving the c_j, Poly
+    # _form evaluates sum_j c_j p^j (1-p)^(D-j) by halving the c_j, Poly
     # by Horner's rule on monomial coefficients: they share no code
     rng = random.Random(38)
     for game in [(3, 1, 1), (2, 2, 1), (15, 1, 1), (100, 1, 1), (150, 2, 3), (90, 1, 2)]:

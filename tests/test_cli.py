@@ -63,6 +63,29 @@ def test_poly_writes_coefficients_past_the_int_digit_cap(capsys, monkeypatch):
     assert json.loads(out)["coefficients"] == [digits, f"-{digits}"]
 
 
+@pytest.mark.parametrize("fmt", cli_golden.FORMATS)
+@pytest.mark.parametrize("command", ["pmf", "table"])
+def test_json_ints_past_the_int_digit_cap_exit_2_with_one_line(capsys, monkeypatch, command, fmt):
+    # json writes ints through str(), which stops at 4300 digits; the other formats render through Decimal
+    from coinrace.advantage import AdvantageResult
+    from coinrace.game import TurnBounds
+    from coinrace.stopping import HitTimeDistribution
+
+    c = 3 * 10**4515 + 1
+    poly = Poly((c,))
+    row = (2, AdvantageResult(None, TurnBounds(1, 2), poly, False, ()))
+    monkeypatch.setattr(cli, "hit_time_distribution", lambda params: HitTimeDistribution(TurnBounds(1, 1), {1: poly}))
+    monkeypatch.setattr(cli, "polynomial_table", lambda which: [row])
+    argv = ("pmf", "--n", "1", "--alpha", "1", "--beta", "1") if command == "pmf" else ("table", "1")
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    if fmt == "json":
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: this game is too large to compute"]
+    else:
+        assert (code, err) == (0, "")
+        assert "3" + "0" * 4514 + "1" in out.replace(",", "")  # LaTeX groups the digits
+
+
 def test_poly_degenerate_text(capsys):
     code, out, _ = run_cli(capsys, "poly", "--n", "2", "--alpha", "2", "--beta", "1")
     assert code == 0

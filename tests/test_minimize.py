@@ -912,7 +912,7 @@ TWIN_MINIMA = list(
 )
 
 
-@pytest.mark.parametrize("degree", [4, 6])
+@pytest.mark.parametrize("degree", [6, 8])
 def test_equal_minima_are_both_refined_and_reported_as_a_tie(monkeypatch, degree):
     # The split at 3/4 sets U = 16, and the node (3/4, 1) has a lower bound of
     # exactly 16: I rises from 3/4, so its least Bernstein coefficient is I(3/4).

@@ -5,14 +5,16 @@ its hand-expanded cases and ring laws below check it, and the properties check `
 evaluation and derivative against it.
 """
 
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebra import ref_add, ref_mul, ref_strip
-from coinrace.polynomial import ONE, Poly, binomial, from_homogeneous, render, to_homogeneous
+from coinrace.polynomial import ONE, Poly, _form, _inverse_shift, binomial, from_homogeneous, render, to_homogeneous
 
 small_polys = st.lists(st.integers(-9, 9), max_size=9).map(Poly)
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -275,3 +277,50 @@ def test_homogeneous_basis_round_trip(coeffs, extra, x):
 def test_homogeneous_coefficients_of_one_are_binomials():
     assert to_homogeneous([1], 4) == [binomial(4, j) for j in range(5)]
     assert from_homogeneous([0, 1, 0]) == [0, 1, -1]  # p(1-p) = p - p^2
+
+
+def test_to_homogeneous_reads_the_degree_past_trailing_zeros_and_refuses_a_lower_one():
+    assert to_homogeneous([1, 2, 0], 1) == [1, 3]  # 1 + 2p = (1-p) + 3p
+    assert to_homogeneous([1, 2, 0, 0], 3) == [1, 5, 7, 3]
+    assert to_homogeneous([0, 0], 0) == [0]
+    with pytest.raises(ValueError, match="degree 2"):
+        to_homogeneous([1, 2, 5], 1)
+    with pytest.raises(ValueError, match="degree 0"):
+        to_homogeneous([7], -1)
+
+
+def test_from_homogeneous_keeps_the_forms_length_whatever_its_degree():
+    # p^2 (1-p)^2 + (1-p)^4 has monomial degree 4; p(1-p)^3 + p^2 (1-p)^2 has degree 3
+    assert from_homogeneous([1, 0, 1, 0, 0]) == [1, -4, 7, -6, 2]
+    assert from_homogeneous([0, 1, 1, 0, 0]) == [0, 1, -2, 1, 0]
+    assert from_homogeneous([0, 0, 0]) == [0, 0, 0]
+    assert to_homogeneous(from_homogeneous([0, 1, 1, 0, 0]), 4) == [0, 1, 1, 0, 0]
+
+
+def form_by_definition(c, u, w):
+    d = len(c) - 1
+    return sum(cj * u**j * w ** (d - j) for j, cj in enumerate(c))
+
+
+@pytest.mark.parametrize("length", [1, 2, 15, 16, 17, 31, 32, 33, 100, 257])
+def test_the_form_is_its_definition_at_every_length(length):
+    # sum_j c_j u^j w^(D-j): w = v - u is the (p, 1-p) form at u/v, w = v the monomial value at u/v
+    rng = random.Random(length)
+    c = [rng.randint(-(2**100), 2**100) for _ in range(length)]
+    d = length - 1
+    for v in (1, 2, 7, 1 << 30, 10**20 + 7, rng.getrandbits(90) | 1):
+        for u in (0, 1, v // 3, rng.randrange(v + 1), v, -1, -rng.randrange(1, 2 * v + 2)):
+            for w in (v - u, v):
+                assert _form(c, u, w) == form_by_definition(c, u, w), (v, u, w)
+            assert _form(c, u, v) == Poly(c)(Fraction(u, v)) * v**d, (v, u)
+
+
+def test_the_inverse_shift_reads_off_the_top_monomial_coefficients():
+    # the coefficient of p^i in sum_j c_j p^j (1-p)^(D-j) is sum_(j<=i) c_j C(D-j, i-j) (-1)^(i-j)
+    rng = random.Random(60)
+    for d in range(2, 61):
+        c = [rng.randint(-(2**200), 2**200) for _ in range(d + 1)]
+        monomial = from_homogeneous(c)
+        top = [sum(c[j] * binomial(d - j, i - j) * (-1) ** (i - j) for j in range(i + 1)) for i in (d, d - 1, d - 2)]
+        assert top == monomial[:-4:-1]
+        assert list(islice(_inverse_shift(c), 3)) == [(-1) ** i * a for i, a in zip((d, d - 1, d - 2), top)]
