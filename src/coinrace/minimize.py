@@ -15,23 +15,24 @@ precision only where an error bound certifies it, and in integers otherwise.
    variations bound the number of roots in (0, 1), counted with
    multiplicity, with an even excess.  No Taylor shift is needed: 0
    variations prove a node rootless, 1 proves one simple root, and otherwise
-   one de Casteljau triangle splits the node in two (unimodality is never
-   assumed).  A root at 0, 1 or a split midpoint shows as zero end
-   coefficients of the nodes it bounds, and signs are read past them, so no
-   root is divided out and every node keeps the coefficients of I' itself.
-   A node that still shows two or more variations once it is no wider than
-   the requested tolerance is kept whole as one bracket: a multiple root, or
-   roots closer than the tolerance, end there.  Splits run on coefficients
-   floor-truncated to 96 bits with an exact error bound (Rouillier &
-   Zimmermann, J. Comput. Appl. Math. 162, 2004; Eigenwillig et al., CASC
-   2005); if a bound leaves a sign open, the whole search is run again with
-   exact splits.  The search is branch and bound.  I's Bernstein
-   coefficients on a node are I at its left end plus prefix sums of the
-   node's coefficients of I', and I is nowhere below the least of them (Lane
-   & Riesenfeld, BIT 21, 1981).  A node where that bound exceeds the least
-   exact value of I seen so far holds no minimizer and no tie, so it is
-   dropped with its subtree, and of two children the one with the smaller
-   bound goes first.  Under I = 0 no bound exceeds 0, so the same search
+   a de Casteljau triangle at 1/2, one packed integer per row, splits the
+   node in two (unimodality is never assumed).  A root at 0, 1 or a split
+   midpoint shows as zero end coefficients of the nodes it bounds, and signs
+   are read past them, so no root is divided out and every node keeps the
+   coefficients of I' itself.  A node that still shows two or more
+   variations once it is no wider than the requested tolerance is kept
+   whole as one bracket: a multiple root, or roots closer than the
+   tolerance, end there.  Splits run on coefficients
+   floor-truncated to 96 bits and return floored averages, with an exact
+   error bound (Rouillier & Zimmermann, J. Comput. Appl. Math. 162, 2004;
+   Eigenwillig et al., CASC 2005); if a bound leaves a sign open, the whole
+   search is run again with exact splits.  The search is branch and bound.
+   I's Bernstein coefficients on a node are I at its left end plus prefix
+   sums of the node's coefficients of I', and I is nowhere below the least
+   of them (Lane & Riesenfeld, BIT 21, 1981).  A node where that bound
+   exceeds the least exact value of I seen so far holds no minimizer and no
+   tie, so it is dropped with its subtree, and of two children the one with
+   the smaller bound goes first.  Under I = 0 no bound exceeds 0, so the same search
    keeps every root.  Every value and bound is an integer at one dyadic
    scale, over the denominator lcm(1, ..., D) 2^((depth+1) D): I at
    u/2^v is sum_j c_j u^j (2^v - u)^(D-j) over 2^(v D), and no point is
@@ -64,7 +65,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import add, ne
+from operator import ne
 from typing import NamedTuple, Optional, Sequence
 
 from .advantage import AdvantageResult, _advantage
@@ -134,7 +135,8 @@ def minimize_advantage(params: GameParams, tol: float = 1e-9) -> MinimizationRes
 
 
 def _check_tol(tol: float) -> None:
-    if not math.isfinite(tol) or tol <= 0:
+    # compared exactly: an int or Fraction past the float range is a real tol
+    if not 0 < tol < math.inf:
         raise ParameterError("tol must be finite and > 0")
 
 
@@ -261,6 +263,7 @@ def _at_limit_bias(adv: AdvantageResult) -> float:
 # ---------------------------------------------------------------------------
 
 _BITS = 96  # a split's inputs are floor-truncated to this many bits
+_G = 16  # rows of a packed split between the floors of its lanes
 
 
 def _isolate(
@@ -295,12 +298,13 @@ def _isolate(
     so it gives the same brackets.  I = 0 (``integral`` = [0]) keeps every
     root: U is 0, and every bound is 0 plus a term that is never positive.
 
-    Splits run on coefficients truncated to ``_BITS`` bits (see ``_split``),
-    and the search is a filter in front of the exact one: at the first node
-    whose bound leaves a sign open, a zero on a cut side included, it returns
-    the same search rerun with ``exact`` set, which skips the truncation.
-    Every node of that rerun is exact, so it never reruns, and every decision,
-    and so every bracket, is the exact one.
+    Splits run on coefficients truncated to ``_BITS`` bits and return
+    floored averages (see ``_split``), and the search is a filter in front
+    of the exact one: at the first node whose bound leaves a sign open, a
+    zero on a cut side included, it returns the same search rerun with
+    ``exact`` set, which skips the truncation.  Every node of that rerun is
+    exact, so it never reruns, and every decision, and so every bracket, is
+    the exact one.
     """
     depth = _depth(tol)
     b, scale = _bernstein(homogeneous)
@@ -351,9 +355,8 @@ def _isolate(
             found(a << depth - s, a + 1 << depth - s)
             continue
         x, err, k = (x, err, 0) if exact else _truncate(x, err)
-        left, right = _split(x)
-        err <<= n
-        t += k - n - 1
+        t += k - 1 if err else -1 - n  # an exact split scales by 2^n
+        left, right, err = _split(x, err)
         at_mid = value(2 * a + 1, s + 1)
         best = min(best, at_mid)
         left_low = _lower_bound(left, t, at_lo)
@@ -374,14 +377,15 @@ def _lower_bound(x: list[int], t: int, at_lo: int) -> int:
     On a node of width 2^-s, I' is sum_j x_j B_j(y) / scale, with y running
     over (0, 1) across the node, B_j the Bernstein basis of degree d - 1,
     d = len(x), and each x_j at most its true value.  ``scale`` is the root's
-    factor L from ``_bernstein`` times 2^(d-1) for each split and 2^-k for
-    each truncation by 2^k above the node.  Integrating gives I's Bernstein
-    coefficients of degree d on the node, I(lo) + (x_0 + ... + x_(i-1)) /
-    (2^s d scale) for i = 0, ..., d, and I is nowhere below the least of
-    them (Lane & Riesenfeld, BIT 21, 1981).  Over the denominator
-    L d 2^top, that sum is shifted by t = top - s - log2(scale / L): top at
-    the root, then d - k less for each split that truncated by 2^k.  t stays
-    positive, since top >= (depth + 1) d and s <= depth.
+    factor L from ``_bernstein`` times 2^(d-1) for each exact split and 2^-k
+    for each truncation by 2^k above the node; a floored split keeps it.
+    Integrating gives I's Bernstein coefficients of degree d on the node,
+    I(lo) + (x_0 + ... + x_(i-1)) / (2^s d scale) for i = 0, ..., d, and I
+    is nowhere below the least of them (Lane & Riesenfeld, BIT 21, 1981).
+    Over the denominator L d 2^top, that sum is shifted by
+    t = top - s - log2(scale / L): top at the root, then d less for each
+    exact split and 1 - k less for each floored one after a truncation by
+    2^k.  t stays positive, since top >= (depth + 1) d and s <= depth.
     """
     return at_lo + (min(0, min(accumulate(x))) << t)
 
@@ -406,31 +410,57 @@ def _certain(x: list[int], err: int) -> bool:
 
 
 def _truncate(x: list[int], err: int) -> tuple[list[int], int, int]:
-    """x floored by 2^k to ``_BITS`` bits, the bound 1 + ceil(err / 2^k) it then has, and k."""
+    """x floored by 2^k to ``_BITS`` bits, the bound 1 + ceil(err / 2^k) it then has, and k.
+
+    Only a root and the children of exact splits can be longer: a floored
+    split's children are averages, no longer than its inputs.
+    """
     k = max(max(x), -min(x)).bit_length() - _BITS
     if k <= 0:
         return x, err, 0
     return [v >> k for v in x], 1 + (-(-err >> k)), k
 
 
-def _split(b: list[int]) -> tuple[list[int], list[int]]:
-    """Integer Bernstein coefficients of both halves, by one de Casteljau triangle.
+def _split(x: list[int], err: int) -> tuple[list[int], list[int], int]:
+    """Integer Bernstein coefficients of both halves, and the bound on their error.
 
-    Row r of the triangle holds sum_i C(r, i) b_(j+i), 2^r times the de
-    Casteljau row at 1/2; the halves' true coefficients are row[r][0] / 2^r
-    and row[r][-1] / 2^r, so both are scaled by 2^d.  If each b_j is short of
-    its true value by less than err, row r is short by less than 2^r err, so
-    every output is short by less than 2^d err.
+    Each row of the de Casteljau triangle at 1/2 is one packed integer.  In
+    row 0, lane j holds x_j + 2^b, b = bitlen(max |x_j|) + 1, in b + _G + 2
+    bits rounded up to whole bytes, so a lane never borrows from or carries
+    into the next.  ``packed += packed >> w`` sums neighbours; every _G rows
+    each lane is floored by 2^_G, which turns its sums back into floored
+    averages at the same offset, and the lanes past the row's last are
+    dropped.  With d = len(x) - 1, the left half's coefficient r is lane 0
+    of row r and the right half's coefficient d - r is lane d - r, each
+    floored by the 2^(r mod _G) still in it.
+
+    With err > 0, each x_j is short of its true value by less than err, and
+    so is every average of them; each floor adds less than one more, and a
+    coefficient from row r has been floored r // _G + 1 times at most, so
+    the halves are at x's scale and short by less than err + d // _G + 1.
+    With err = 0 the inputs are shifted left by d first, so that every floor
+    is exact: lane j of row r stands for 2^(d-r) sum_i C(r, i) x_(j+i), and
+    the halves are the exact ones scaled by 2^d, with err = 0.
     """
-    d = len(b) - 1
-    row = b
+    d = len(x) - 1
+    if not err:
+        x = [v << d for v in x]
+    b = max(max(x), -min(x)).bit_length() + 1
+    size = (b + _G + 9) // 8
+    w, off = 8 * size, 1 << b
+    lane = (1 << w) - 1
+    packed = int.from_bytes(b"".join((v + off).to_bytes(size, "little") for v in x), "little")
+    high = int.from_bytes((lane - (1 << _G) + 1).to_bytes(size, "little") * (d + 1), "little")
     left, right = [], []
     for r in range(d + 1):
-        left.append(row[0] << (d - r))
-        right.append(row[-1] << (d - r))
-        row = list(map(add, row, row[1:]))
+        s = r % _G
+        left.append(((packed & lane) >> s) - off)
+        right.append(((packed >> w * (d - r) & lane) >> s) - off)
+        packed += packed >> w
+        if s == _G - 1:
+            packed = (packed & high >> w * (r + 1)) >> _G
     right.reverse()
-    return left, right
+    return left, right, err and err + d // _G + 1
 
 
 def _bisect(c: Sequence[int], x: list[int], a: int, s: int, depth: int) -> tuple[int, int]:

@@ -53,3 +53,21 @@ def ref_expand_counts(counts):
             acc[h:] = [a + c[h - j0] * b for a, b in zip(acc[h:], row)]
         out[k] = ref_strip(acc)
     return out
+
+
+def ref_split(b):
+    """Integer Bernstein coefficients of both halves of [0, 1], by a de Casteljau triangle of lists.
+
+    Row r of the triangle holds sum_i C(r, i) b_(j+i), 2^r times the de
+    Casteljau row at 1/2; the halves' true coefficients are row[r][0] / 2^r
+    and row[r][-1] / 2^r, so both come back scaled by 2^d, d = len(b) - 1.
+    """
+    d = len(b) - 1
+    row = list(b)
+    left, right = [], []
+    for r in range(d + 1):
+        left.append(row[0] << (d - r))
+        right.append(row[-1] << (d - r))
+        row = [x + y for x, y in zip(row, row[1:])]
+    right.reverse()
+    return left, right

@@ -41,6 +41,19 @@ def test_tol_must_be_positive():
         minimize_advantage(GameParams(5, 1, 1), tol=0)
 
 
+@pytest.mark.parametrize(
+    "tol", [10**400, Fraction(10**400, 3), 2, 1.5], ids=["10^400", "10^400/3", "2", "1.5"]
+)
+def test_a_tol_past_the_float_range_gives_the_tol_1_result(tol):
+    # tol >= 1/2 stops at depth 0, whatever its size; an exact huge tol
+    # must not be rounded to a float on the way
+    params = GameParams(5, 1, 1)
+    assert minimize_advantage(params, tol) == minimize_advantage(params, 1)._replace(tol=tol)
+    import coinrace.tables as tables
+
+    assert tables.minimized_table(tol) == tables.minimized_table(1)
+
+
 def test_bracket_quality():
     tol = 1e-9
     for params in [(5, 1, 1), (10, 2, 3), (7, 1, 2)]:
@@ -308,7 +321,7 @@ def test_no_grid_point_falls_below_the_minimum_past_the_float_range(game):
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algebra import ref_add, ref_mul
+from algebra import ref_add, ref_mul, ref_split
 from coinrace.minimize import _depth, _isolate
 from coinrace.polynomial import ONE, Poly, to_homogeneous
 
@@ -495,6 +508,63 @@ def test_bernstein_scales_each_coefficient_by_its_lcm_over_binomial(monkeypatch,
     assert scale == math.lcm(*(math.comb(d, j) for j in range(d + 1)))
     expected = [x * (scale // math.comb(d, j)) for j, x in enumerate(c)]
     assert minimize_module._bernstein(c) == (expected, scale)
+
+
+@st.composite
+def split_inputs(draw):
+    """The inputs (x, zl, zr, err, eps) of one split.
+
+    x has 1-80 coefficients up to 2^200, the first zl and last zr of them
+    exact zeros.  The true values are x_j + eps_j with 0 <= eps_j < err, and
+    eps = 0 at those zeros and everywhere when err = 0.
+    """
+    n = draw(st.integers(1, 80))
+    bits = draw(st.integers(0, 200))
+    coefficient = st.one_of(st.just(0), st.integers(-(2**bits), 2**bits))
+    x = draw(st.lists(coefficient, min_size=n, max_size=n))
+    zl = draw(st.integers(0, n))
+    zr = draw(st.integers(0, n - zl))
+    x[:zl], x[n - zr :] = [0] * zl, [0] * zr
+    err = draw(st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 2**bits + 1)))
+    inside = range(zl, n - zr) if err else ()
+    eps = [draw(st.integers(0, err - 1)) if j in inside else 0 for j in range(n)]
+    return x, zl, zr, err, eps
+
+
+def check_split(x, zl, zr, err, eps):
+    """_split(x, err) against the list triangle on the true values x + eps."""
+    d = len(x) - 1
+    left, right, err_out = minimize_module._split(list(x), err)
+    if not err:  # bit for bit the list triangle, scaled by 2^d
+        assert (left, right, err_out) == (*ref_split(x), 0)
+        return
+    # floored averages at x's scale, each short of the truth by less than err_out
+    true_left, true_right = ref_split([v + e for v, e in zip(x, eps)])
+    for child, scaled in zip(left + right, true_left + true_right):
+        assert child << d <= scaled < child + err_out << d
+    assert err_out == err + d // minimize_module._G + 1
+    # exact zeros at the ends stay exact in the child on their side
+    assert left[:zl] == [0] * zl and right[len(x) - zr :] == [0] * zr
+
+
+@settings(deadline=None, max_examples=300)
+@given(split_inputs())
+def test_the_packed_split_is_the_list_triangle_or_floors_it(case):
+    check_split(*case)
+
+
+@pytest.mark.parametrize("err", [0, 1, 2**40])
+def test_the_packed_split_at_every_length_across_its_floors(err):
+    # lengths 1-80 cross 16, 32, 48 and 64 rows, where every lane is floored;
+    # the truth is as far above x as err allows, or at x itself
+    rng = random.Random(err)
+    for n in range(1, 81):
+        for bits in (0, 1, 95, 200):
+            x = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+            for eps in ([0] * n, [max(err - 1, 0)] * n):
+                check_split(x, 0, 0, err, eps)
+    x = [-(2**200)] * 40 + [2**200 - 1] * 40  # the widest lanes, both signs
+    check_split(x, 0, 0, err, [max(err - 1, 0)] * 80)
 
 
 def halve_to_depth(c, x, a, s, depth):
@@ -697,7 +767,7 @@ def test_a_dyadic_root_inside_a_refined_node_is_read_exactly(monkeypatch):
     coeffs = list(poly_with_roots([root], dpoly).coeffs)
     c = to_homogeneous(coeffs, len(coeffs) - 1)
     b, _ = minimize_module._bernstein(c)
-    x = minimize_module._split(minimize_module._split(b)[1])[1]
+    x = minimize_module._split(minimize_module._split(b, 0)[1], 0)[1]
     assert minimize_module._sign_variations(x) == 1
     sums = record_calls(monkeypatch, "_fixed_value")
     exact = record_calls(monkeypatch, "_dyadic_value")
@@ -990,7 +1060,7 @@ def test_truncated_children_inherit_their_parents_zero_ends(monkeypatch):
 
 def test_real_games_never_rerun_exactly(monkeypatch):
     # The exact rerun is a fallback for open signs only: an exact split of
-    # (1000, 1, 1)'s root takes ~2.6 times as long as a truncated one.
+    # (1000, 1, 1)'s root takes ~40 times as long as a truncated one.
     games = [(99, 1, 1), (100, 1, 1), (101, 1, 1), (150, 2, 3), (90, 1, 2)]
     games += [(250, 4, 3), (175, 3, 2), (200, 1, 1)]
     isolations = record_calls(monkeypatch, "_isolate")
@@ -1021,6 +1091,28 @@ def test_every_lower_bound_is_at_most_the_least_bernstein_coefficient(monkeypatc
             exact += low == least
             zero_end += slope(Fraction(a, 2**s)) * slope(Fraction(a + 1, 2**s)) == 0
     assert checked > 1900 and exact > 0.9 * checked and zero_end > 0
+
+
+def test_a_truncated_bound_is_the_least_bernstein_coefficient_to_many_bits(monkeypatch):
+    # A truncated node's coefficients are short of I' by a few units in ~96
+    # bits, so its bound is below the least coefficient of I by a tiny part of
+    # how far that coefficient is below I at the node's left end.  A child
+    # bound at the wrong scale, by one factor of 2, is off by all of that.
+    bounds = record_bounds_by_node(monkeypatch)
+    close = 0
+    for game in [(100, 1, 1), (150, 2, 3), (90, 1, 2), (250, 4, 3), (175, 3, 2), (60, 4, 1)]:
+        adv = advantage_polynomial(GameParams(*game))
+        bounds.clear()
+        minimize_module._minimize(adv, 1e-9)
+        root_x, root_t, _ = bounds[0][1]
+        denominator = math.lcm(*range(1, len(root_x) + 1)) << root_t
+        for (a, s), (_, _, at_lo), low in bounds[1:]:
+            least = bernstein_minimum_on_node(adv, a, s)
+            drop = Fraction(at_lo, denominator) - least
+            if drop:
+                assert 0 <= least - low <= drop / 2**40, (game, a, s)
+                close += 1
+    assert close >= 20, close
 
 
 def test_an_exact_rerun_keeps_sound_bounds(monkeypatch):
@@ -1058,7 +1150,11 @@ def test_an_exact_rerun_keeps_sound_bounds(monkeypatch):
     assert checked > 20, checked
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "tol",
+    [math.nan, math.inf, -math.inf, -(10**400), Fraction(-(10**400), 3)],
+    ids=["nan", "inf", "-inf", "-10^400", "-10^400/3"],
+)
 def test_tol_must_be_finite(tol):
     with pytest.raises(ParameterError, match="finite"):
         minimize_advantage(GameParams(5, 1, 1), tol=tol)
@@ -1106,7 +1202,9 @@ def test_minimized_table_builds_each_polynomial_once(monkeypatch):
         assert row.limit_value == advantage_at_asymptotic(params)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "tol", [0.0, -1e-9, math.nan, math.inf, -(10**400)], ids=["0.0", "-1e-09", "nan", "inf", "-10^400"]
+)
 def test_minimized_table_rejects_tol_before_building(monkeypatch, tol):
     import coinrace.tables as tables
 
